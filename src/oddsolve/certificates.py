@@ -127,9 +127,10 @@ def parse_certificate(text: str) -> Certificate:
             raise CertificateError(f"line {lineno}: malformed {kind!r} line") from None
     if problem is None or value is None:
         raise CertificateError("certificate needs problem and value lines")
+    # a coloring or orientation of the empty graph has no lines at all
     coloring = None
-    if colors:
-        n = max(colors) + 1
+    if colors or problem in _COLOR_PROBLEMS:
+        n = max(colors) + 1 if colors else 0
         missing = [v for v in range(n) if v not in colors]
         if missing:
             raise CertificateError(f"vertex {missing[0] + 1} has no color line")
@@ -137,7 +138,7 @@ def parse_certificate(text: str) -> Certificate:
     return Certificate(problem, value,
                        vertex_set=vertex_set,
                        coloring=coloring,
-                       arcs=tuple(arcs) if arcs else None)
+                       arcs=tuple(arcs) if arcs or problem in _ARC_PROBLEMS else None)
 
 
 def _degree_in(g: Graph, v: int, mask: int) -> int:
@@ -196,7 +197,7 @@ def verify(g: Graph, cert: Certificate) -> tuple[bool, str]:
         classes = _class_masks(coloring)
         budget = {"odd2col": 2, "even2col": 2, "gallai-oe": 2, "gallai-ee": 2,
                   "cograph-3col": 3}.get(p, cert.value)
-        if len(classes) > budget or max(classes) + 1 > budget:
+        if classes and (len(classes) > budget or max(classes) + 1 > budget):
             return False, f"uses class {max(classes) + 1}, budget is {budget}"
         for cls, mask in sorted(classes.items()):
             if p == "gallai-oe":

@@ -107,14 +107,19 @@ def _coloring_classes(coloring) -> int:
 def _cmd_solve(args) -> tuple[int, list[str]]:
     g = _load_graph(args.graph)
     _resolve_threads(args.threads)
-    t, source = _decomposition_for(g, args)
-    out = [f"decomposition={source} width={rankdec.width(g, t)}"]
     problem = args.problem
+    if g.n == 0 and not args.dec:
+        # no tree has zero leaves; the empty set (or coloring) answers everything
+        t = None
+        out = ["decomposition=none width=0"]
+    else:
+        t, source = _decomposition_for(g, args)
+        out = [f"decomposition={source} width={rankdec.width(g, t)}"]
 
     if problem in ("mos", "mes", "odd-ds", "odd-tds"):
         solver = {"mos": dp.solve_mos, "mes": dp.solve_mes,
                   "odd-ds": dp.solve_odd_ds, "odd-tds": dp.solve_odd_tds}[problem]
-        res = solver(g, t)
+        res = (0, 0) if t is None else solver(g, t)
         if res is None:
             out.append("no feasible set exists")
             return EXIT_INFEASIBLE, [_result_line(None, False)] + out
@@ -126,7 +131,9 @@ def _cmd_solve(args) -> tuple[int, list[str]]:
     if problem == "odd-qcol":
         if args.q is None:
             raise _CliError("odd-qcol requires --q")
-        coloring = dp.solve_odd_qcol(g, t, args.q)
+        if args.q < 1:
+            raise _CliError("q must be positive")
+        coloring = () if t is None else dp.solve_odd_qcol(g, t, args.q)
         out.append(f"q={args.q}")
         if coloring is None:
             return EXIT_INFEASIBLE, [_result_line(None, False)] + out
@@ -135,7 +142,7 @@ def _cmd_solve(args) -> tuple[int, list[str]]:
         return EXIT_OK, [_result_line(used, True)] + out
 
     # chi-odd
-    res = dp.chi_odd(g, t)
+    res = (0, ()) if t is None else dp.chi_odd(g, t)
     if res is None:
         out.append("undefined: some component has odd order")
         return EXIT_INFEASIBLE, [_result_line(None, False)] + out

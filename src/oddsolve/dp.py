@@ -18,7 +18,7 @@ system is unsatisfiable are dropped immediately.  At the root the cut is
 from __future__ import annotations
 
 from .graph import Graph, mask_lex_less, vertices_of
-from .rankdec import CutBasis, DecompositionTree, cut_rank
+from .rankdec import CutBasis, DecompositionTree, cut_walk
 
 __all__ = [
     "chi_odd",
@@ -75,21 +75,25 @@ def _sig_rref(rows: list[int], rhs_bit: int) -> tuple[int, ...] | None:
 
 
 class _NodeCut:
-    """Per-node cut data: basis, and A-vertices grouped by outside pattern."""
+    """Per-node cut data: basis, and A-vertices grouped by outside pattern.
+
+    Only boundary vertices of A can see a B-basis vertex, so every other
+    vertex of A has the zero pattern.
+    """
 
     __slots__ = ("a", "b", "basis", "rb", "rhs_bit", "patterns", "zero_mask")
 
-    def __init__(self, g: Graph, a_mask: int) -> None:
+    def __init__(self, g: Graph, a_mask: int, boundary: tuple[int, int]) -> None:
         self.a = a_mask
-        self.b = g.full_mask & ~a_mask
-        self.basis: CutBasis = cut_rank(g, a_mask)
-        bverts = self.basis.b_basis_vertices
+        self.basis = basis = CutBasis(g, a_mask, boundary)
+        self.b = basis.b_mask
+        bverts = basis.b_basis_vertices
         self.rb = len(bverts)
         self.rhs_bit = 1 << self.rb
         profiles = [g.adj[w] & a_mask for w in bverts]
         patterns: dict[int, int] = {}
-        zero = 0
-        for v in vertices_of(a_mask):
+        seen = 0
+        for v in vertices_of(basis.a_boundary):
             bit = 1 << v
             pat = 0
             for i, prof in enumerate(profiles):
@@ -97,10 +101,9 @@ class _NodeCut:
                     pat |= 1 << i
             if pat:
                 patterns[pat] = patterns.get(pat, 0) | bit
-            else:
-                zero |= bit
+                seen |= bit
         self.patterns = patterns
-        self.zero_mask = zero
+        self.zero_mask = a_mask & ~seen
 
     def coset_sig(self, d: int, e: int) -> tuple[int, ...] | None:
         """Signature of {completion codes fixing (d, e)}, or None if empty.
@@ -234,24 +237,22 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
     `collect`, if a dict, receives {node: (cut, table)} for inspection.
     """
     t.validate_for(g)
-    masks = t.leaf_masks()
     cuts: dict[int, _NodeCut] = {}
     tables: dict[int, dict] = {}
-    for node in t.postorder():
-        cut = _NodeCut(g, masks[node])
+    for node, a_mask, a_bd, b_bd in cut_walk(g, t):
+        cut = _NodeCut(g, a_mask, (a_bd, b_bd))
         if t.is_leaf(node):
             u = t.leaf_vertex[node]
             tab = _leaf_table_qcol(cut, u, q) if kind == "qcol" else _leaf_table(cut, u, kind)
         else:
             x, y = t.children[node]
-            get_x = _child_map(g, cut, cuts[x], masks[y])
-            get_y = _child_map(g, cut, cuts[y], masks[x])
+            ax, ay = cuts[x].a, cuts[y].a
+            get_x = _child_map(g, cut, cuts[x], ay)
+            get_y = _child_map(g, cut, cuts[y], ax)
             if kind == "qcol":
-                tab = _join_table_qcol(cut, get_x, get_y, tables[x], tables[y],
-                                       masks[x], masks[y], q)
+                tab = _join_table_qcol(cut, get_x, get_y, tables[x], tables[y], ax, ay, q)
             else:
-                tab = _join_table(cut, get_x, get_y, tables[x], tables[y],
-                                  masks[x], masks[y], kind)
+                tab = _join_table(cut, get_x, get_y, tables[x], tables[y], ax, ay, kind)
             if collect is None:
                 del tables[x], tables[y], cuts[x], cuts[y]
         cuts[node] = cut

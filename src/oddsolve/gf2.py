@@ -10,7 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-__all__ = ["Gf2Error", "Gf2Matrix", "RrefDecomposition", "rank_of", "rref", "solve"]
+__all__ = [
+    "Gf2Error",
+    "Gf2Matrix",
+    "RowBasis",
+    "RrefDecomposition",
+    "rank_of",
+    "row_basis",
+    "rref",
+    "solve",
+]
 
 
 class Gf2Error(ValueError):
@@ -56,20 +65,20 @@ class Gf2Matrix:
 
 
 @dataclass(frozen=True)
-class RrefDecomposition:
-    """Reduced row-echelon decomposition remembering its original row basis.
+class RowBasis:
+    """Earliest row basis of a row sequence, with coordinates over it.
 
-    ``basis_row_indices`` are the earliest original rows forming a row basis;
+    ``basis_row_indices`` are the earliest input rows forming a row basis;
     ``coordinates`` expresses any row-space vector over exactly those rows.
     """
 
-    matrix: Gf2Matrix
-    rank: int
-    pivot_cols: tuple[int, ...]
     basis_row_indices: tuple[int, ...]
-    rref_rows: tuple[int, ...]
     # (pivot bit, reduced row, combination over basis positions), in insertion order
     _elems: tuple[tuple[int, int, int], ...] = field(repr=False)
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis_row_indices)
 
     def coordinates(self, vec: int) -> int | None:
         """Combination of basis rows equal to `vec`, or None if outside the span.
@@ -84,21 +93,18 @@ class RrefDecomposition:
                 combo ^= cmb
         return None if cur else combo
 
-    def reconstruct(self, coords: int) -> int:
-        acc = 0
-        for pos in range(len(self.basis_row_indices)):
-            if coords >> pos & 1:
-                acc ^= self.matrix.rows[self.basis_row_indices[pos]]
-        return acc
-
     def in_span(self, vec: int) -> bool:
         return self.coordinates(vec) is not None
 
 
-def rref(m: Gf2Matrix) -> RrefDecomposition:
+def row_basis(rows: Iterable[int]) -> RowBasis:
+    """Eliminate `rows` in order; zero and dependent rows leave no trace.
+
+    Unlike `rref` this takes bare ints, so no `Gf2Matrix` is validated.
+    """
     elems: list[tuple[int, int, int]] = []
     basis_idx: list[int] = []
-    for i, row in enumerate(m.rows):
+    for i, row in enumerate(rows):
         cur = row
         combo = 0
         for pivot, red, cmb in elems:
@@ -109,8 +115,29 @@ def rref(m: Gf2Matrix) -> RrefDecomposition:
             combo ^= 1 << len(elems)
             elems.append((cur & -cur, cur, combo))
             basis_idx.append(i)
+    return RowBasis(tuple(basis_idx), tuple(elems))
+
+
+@dataclass(frozen=True)
+class RrefDecomposition(RowBasis):
+    """`RowBasis` of a matrix plus its reduced row-echelon form."""
+
+    matrix: Gf2Matrix
+    pivot_cols: tuple[int, ...]
+    rref_rows: tuple[int, ...]
+
+    def reconstruct(self, coords: int) -> int:
+        acc = 0
+        for pos in range(len(self.basis_row_indices)):
+            if coords >> pos & 1:
+                acc ^= self.matrix.rows[self.basis_row_indices[pos]]
+        return acc
+
+
+def rref(m: Gf2Matrix) -> RrefDecomposition:
+    basis = row_basis(m.rows)
     # canonical display form: mutually reduced, sorted by pivot column
-    rows = [row for _, row, _ in elems]
+    rows = [row for _, row, _ in basis._elems]
     for i in range(len(rows)):
         p = rows[i] & -rows[i]
         for j in range(len(rows)):
@@ -120,12 +147,11 @@ def rref(m: Gf2Matrix) -> RrefDecomposition:
     rref_rows = tuple(rows[k] for k in order)
     pivot_cols = tuple((r & -r).bit_length() - 1 for r in rref_rows)
     return RrefDecomposition(
+        basis_row_indices=basis.basis_row_indices,
+        _elems=basis._elems,
         matrix=m,
-        rank=len(elems),
         pivot_cols=pivot_cols,
-        basis_row_indices=tuple(basis_idx),
         rref_rows=rref_rows,
-        _elems=tuple(elems),
     )
 
 

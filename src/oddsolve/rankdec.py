@@ -8,8 +8,9 @@ the bipartite adjacency matrix across any of these cuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .gf2 import Gf2Matrix, RrefDecomposition, rank_of, rref
+from .gf2 import rank_of, row_basis
 from .graph import Graph, GraphError, vertices_of
 
 __all__ = [
@@ -18,6 +19,7 @@ __all__ = [
     "TreeFormatError",
     "caterpillar",
     "cut_rank",
+    "cut_walk",
     "heuristic_order",
     "optimal_linear",
     "parse_tree",
@@ -112,42 +114,32 @@ class CutBasis:
     Rows of side A are the neighborhoods of A-vertices restricted to B (ints
     over the full vertex range; B-columns only can be set).  The basis picks
     the earliest independent vertices, so representatives are canonical.
+
+    Only a boundary vertex (one with a neighbor across the cut) has a nonzero
+    row, and a zero row never enters an earliest basis, so each side's basis
+    is built from that side's boundary alone, in vertex order.  `boundary`
+    is (∂A, ∂B) when the caller already knows it, as `cut_walk` does.
     """
 
-    def __init__(self, g: Graph, a_mask: int) -> None:
+    def __init__(self, g: Graph, a_mask: int, boundary: tuple[int, int] | None = None) -> None:
         self.a_mask = a_mask
         self.b_mask = g.full_mask & ~a_mask
-        self._a_vertices = vertices_of(a_mask)
-        self._b_vertices = vertices_of(self.b_mask)
-        self.a_dec = self._side(g, self._a_vertices, self.b_mask)
-        self.b_dec = self._side(g, self._b_vertices, a_mask)
+        self.a_boundary, self.b_boundary = boundary or _boundaries(g, a_mask)
+        self._adj = adj = g.adj
+        a_vertices = vertices_of(self.a_boundary)
+        b_vertices = vertices_of(self.b_boundary)
+        self.a_dec = row_basis([adj[v] & self.b_mask for v in a_vertices])
+        self.b_dec = row_basis([adj[w] & a_mask for w in b_vertices])
         self.rank = self.a_dec.rank
-        self.a_basis_vertices = tuple(self._a_vertices[i] for i in self.a_dec.basis_row_indices)
-        self.b_basis_vertices = tuple(self._b_vertices[i] for i in self.b_dec.basis_row_indices)
-        self._a_pos = {v: i for i, v in enumerate(self._a_vertices)}
-        self._b_pos = {v: i for i, v in enumerate(self._b_vertices)}
-
-    @staticmethod
-    def _side(g: Graph, vertices: list[int], other_mask: int) -> RrefDecomposition:
-        rows = tuple(g.adj[v] & other_mask for v in vertices)
-        return rref(Gf2Matrix(rows, g.n))
+        self.a_basis_vertices = tuple(a_vertices[i] for i in self.a_dec.basis_row_indices)
+        self.b_basis_vertices = tuple(b_vertices[i] for i in self.b_dec.basis_row_indices)
 
     def a_code(self, mask: int) -> int:
         """Representative code of a subset of A (bits over a_basis_vertices)."""
         acc = 0
-        rows = self.a_dec.matrix.rows
-        for v in vertices_of(mask):
-            acc ^= rows[self._a_pos[v]]
-        code = self.a_dec.coordinates(acc)
-        assert code is not None, "subset row must lie in the side's row space"
-        return code
-
-    def b_code(self, mask: int) -> int:
-        acc = 0
-        rows = self.b_dec.matrix.rows
-        for v in vertices_of(mask):
-            acc ^= rows[self._b_pos[v]]
-        code = self.b_dec.coordinates(acc)
+        for v in vertices_of(mask & self.a_boundary):
+            acc ^= self._adj[v]
+        code = self.a_dec.coordinates(acc & self.b_mask)
         assert code is not None, "subset row must lie in the side's row space"
         return code
 
@@ -159,12 +151,19 @@ class CutBasis:
                 mask |= 1 << v
         return mask
 
-    def b_representative(self, code: int) -> int:
-        mask = 0
-        for i, v in enumerate(self.b_basis_vertices):
-            if code >> i & 1:
-                mask |= 1 << v
-        return mask
+
+def _boundaries(g: Graph, a_mask: int) -> tuple[int, int]:
+    """(∂A, ∂B) of the cut (A, B), scanning only the smaller side."""
+    b_mask = g.full_mask & ~a_mask
+    a_smaller = a_mask.bit_count() <= b_mask.bit_count()
+    side, other = (a_mask, b_mask) if a_smaller else (b_mask, a_mask)
+    near = far = 0
+    for v in vertices_of(side):
+        row = g.adj[v] & other
+        if row:
+            near |= 1 << v
+            far |= row
+    return (near, far) if a_smaller else (far, near)
 
 
 def cut_rank(g: Graph, a_mask: int) -> CutBasis:
@@ -174,22 +173,59 @@ def cut_rank(g: Graph, a_mask: int) -> CutBasis:
     return CutBasis(g, a_mask)
 
 
-def _cut_rank_value(g: Graph, a_mask: int) -> int:
-    """Rank only, computed from the smaller side."""
-    b_mask = g.full_mask & ~a_mask
-    side, other = (a_mask, b_mask) if a_mask.bit_count() <= b_mask.bit_count() else (b_mask, a_mask)
-    return rank_of(g.adj[v] & other for v in vertices_of(side))
+def cut_walk(g: Graph, t: DecompositionTree) -> Iterator[tuple[int, int, int, int]]:
+    """(node, A, ∂A, ∂B) for every node of `t`, children before parents.
+
+    A is the vertex set below the node and ∂A, ∂B the vertices on each side
+    with a neighbor across the cut (A, V \\ A).  The walk carries N(A), the
+    union of the children's neighborhoods, so ∂B = N(A) \\ A; and ∂A is the
+    part of ∂A_x ∪ ∂A_y that still sees outside A.  A node costs time in its
+    children's boundaries, never in |V|.  The caller validates `t`.
+    """
+    adj = g.adj
+    full = g.full_mask
+    pending: dict[int, tuple[int, int, int]] = {}  # node -> (A, N(A), ∂A)
+    for node in t.postorder():
+        if node in t.leaf_vertex:
+            v = t.leaf_vertex[node]
+            a = 1 << v
+            nbhd = adj[v]
+            a_bd = a if nbhd else 0
+        else:
+            x, y = t.children[node]
+            ax, nx, bdx = pending.pop(x)
+            ay, ny, bdy = pending.pop(y)
+            a = ax | ay
+            nbhd = nx | ny
+            b = full & ~a
+            a_bd = 0
+            for v in vertices_of(bdx | bdy):
+                if adj[v] & b:
+                    a_bd |= 1 << v
+        pending[node] = (a, nbhd, a_bd)
+        yield node, a, a_bd, nbhd & ~a
 
 
 def width(g: Graph, t: DecompositionTree) -> int:
+    """Maximum cut rank over the tree, each rank from the smaller boundary."""
     t.validate_for(g)
-    return max(_cut_rank_value(g, mask) for mask in t.leaf_masks().values())
+    adj = g.adj
+    best = 0
+    for _, a, a_bd, b_bd in cut_walk(g, t):
+        if a_bd.bit_count() <= b_bd.bit_count():
+            rank = rank_of(adj[v] & ~a for v in vertices_of(a_bd))
+        else:
+            rank = rank_of(adj[w] & a for w in vertices_of(b_bd))
+        best = max(best, rank)
+    return best
 
 
 def caterpillar(g: Graph, order: list[int]) -> DecompositionTree:
     """Left-comb tree whose leaves follow `order` (a permutation of V)."""
     if sorted(order) != list(range(g.n)):
         raise GraphError("order must be a permutation of the vertices")
+    if g.n == 0:
+        raise GraphError("empty graph has no decomposition tree")
     leaf_vertex = {i: order[i] for i in range(g.n)}
     if g.n == 1:
         return DecompositionTree({}, leaf_vertex, 0)

@@ -10,11 +10,34 @@ import random
 from itertools import combinations, permutations
 
 from oddsolve.graph import Graph
+from oddsolve.rankdec import DecompositionTree
 
 
 def rand_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def random_tree(g: Graph, rng: random.Random) -> DecompositionTree:
+    """Random bracketing of a shuffled vertex order: split every block at a
+    uniformly random point, so internal nodes often have two internal
+    children (a caterpillar never does)."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    leaf_vertex = dict(enumerate(order))
+    children: dict[int, tuple[int, int]] = {}
+
+    def build(lo: int, hi: int) -> int:
+        if hi - lo == 1:
+            return lo
+        mid = rng.randrange(lo + 1, hi)
+        pair = (build(lo, mid), build(mid, hi))
+        node = g.n + len(children)
+        children[node] = pair
+        return node
+
+    root = build(0, g.n)
+    return DecompositionTree(children, leaf_vertex, root)
 
 
 def all_labeled_graphs(n: int):

@@ -277,6 +277,25 @@ def test_criterion_6_scaling():
     print(f"criterion 6: P500 in {elapsed:.2f}s, C200 q=3 in {elapsed2:.2f}s")
 
 
+def test_criterion_6_setup_is_linear_in_path_length():
+    # no wall-clock bound: the ratio of best-of-3 times on P2000 and P500 is
+    # about 4 when per-node cut setup scales with the cut's boundary, and
+    # about 16 or more when it rescans all of V at every node
+    def best_of_3(n: int) -> float:
+        g = gen_family("path", n)
+        t = caterpillar(g, list(range(n)))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            dp.solve_mos(g, t)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ratio = best_of_3(2000) / best_of_3(500)
+    print(f"criterion 6: P2000/P500 mos time ratio {ratio:.1f}")
+    assert ratio < 10, ratio
+
+
 def run_cli(capsys, *args) -> tuple[int, str]:
     code = main(list(args))
     return code, capsys.readouterr().out

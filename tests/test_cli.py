@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from oddsolve.cli import main
+from oddsolve.cli import DECOMPOSE_METHODS, SOLVE_PROBLEMS, main
 from oddsolve.graph import parse_graph, write_graph, gen_family
 
 FIRST_LINE = re.compile(r"^value=(\d+|none) feasible=(true|false)$")
@@ -111,6 +111,27 @@ def test_decompose_methods_report_width(capsys, c6_file):
         assert code == 0
         value = int(out.splitlines()[0].split()[0].split("=")[1])
         assert value >= 1
+
+
+def test_empty_graph(capsys, tmp_path):
+    graph = tmp_path / "empty.col"
+    graph.write_text("p edge 0 0\n")
+    for problem in SOLVE_PROBLEMS:
+        cert = tmp_path / f"{problem}.cert"
+        args = ["solve", problem, "--graph", str(graph), "--emit-certificate", str(cert)]
+        if problem == "odd-qcol":
+            args += ["--q", "2"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0, problem
+        assert out.splitlines()[:2] == ["value=0 feasible=true",
+                                        "decomposition=none width=0"], problem
+        code, out, _ = run(capsys, "verify", "--graph", str(graph),
+                           "--certificate", str(cert), "--problem", problem)
+        assert code == 0, (problem, out)
+    for method in DECOMPOSE_METHODS:
+        code, out, err = run(capsys, "decompose", "--graph", str(graph), "--method", method)
+        assert code == 1 and out == ""
+        assert "empty graph has no decomposition tree" in err
 
 
 def test_certificate_emission_and_verification(capsys, c6_file, tmp_path):

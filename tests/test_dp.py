@@ -12,9 +12,11 @@ from conftest import (
     check_odd_tds,
     check_even_set,
     rand_graph,
+    random_tree,
 )
 from oddsolve import dp
 from oddsolve.dp import _run, _sig_rref, _SUBSET_KINDS
+from oddsolve.gf2 import Gf2Matrix, rref
 from oddsolve.graph import Graph, gen_family, is_odd_set, vertices_of
 from oddsolve.oracle import (
     oracle_chi_odd,
@@ -24,14 +26,16 @@ from oddsolve.oracle import (
     oracle_odd_qcol,
     oracle_odd_tds,
 )
-from oddsolve.rankdec import caterpillar, heuristic_order, optimal_linear
+from oddsolve.rankdec import caterpillar, cut_rank, heuristic_order, optimal_linear
 
 
 def bfs_tree(g: Graph):
     return caterpillar(g, heuristic_order(g, "bfs"))
 
 
-def tree_suite(g: Graph, rng: random.Random):
+def tree_suite(g: Graph, rng: random.Random, shape_rng: random.Random):
+    """Caterpillars from `rng` plus two random bracketings from `shape_rng`,
+    kept apart so the bracketings leave the graph corpus unchanged."""
     order = list(range(g.n))
     rng.shuffle(order)
     return [
@@ -40,6 +44,8 @@ def tree_suite(g: Graph, rng: random.Random):
         caterpillar(g, heuristic_order(g, "degree")),
         caterpillar(g, order),
         optimal_linear(g),
+        random_tree(g, shape_rng),
+        random_tree(g, shape_rng),
     ]
 
 
@@ -56,20 +62,22 @@ def test_subset_problems_match_oracle_tiny():
 
 def test_all_problems_match_oracle_random():
     rng = random.Random(51)
+    shape_rng = random.Random(510)
     for _ in range(30):
         n = rng.randrange(5, 9)
         g = rand_graph(rng, n, rng.uniform(0.2, 0.8))
         t = bfs_tree(g)
-        assert dp.solve_mos(g, t) == oracle_mos(g)
-        assert dp.solve_mes(g, t) == oracle_mes(g)
-        assert dp.solve_odd_ds(g, t) == oracle_odd_ds(g)
-        assert dp.solve_odd_tds(g, t) == oracle_odd_tds(g)
-        for q in (1, 2, 3):
-            mine = dp.solve_odd_qcol(g, t, q)
-            ref = oracle_odd_qcol(g, q)
-            assert (mine is None) == (ref is None), (n, q)
-            if mine is not None:
-                assert check_odd_coloring(g, mine, q)
+        for tree in (t, random_tree(g, shape_rng)):
+            assert dp.solve_mos(g, tree) == oracle_mos(g)
+            assert dp.solve_mes(g, tree) == oracle_mes(g)
+            assert dp.solve_odd_ds(g, tree) == oracle_odd_ds(g)
+            assert dp.solve_odd_tds(g, tree) == oracle_odd_tds(g)
+            for q in (1, 2, 3):
+                mine = dp.solve_odd_qcol(g, tree, q)
+                ref = oracle_odd_qcol(g, q)
+                assert (mine is None) == (ref is None), (n, q)
+                if mine is not None:
+                    assert check_odd_coloring(g, mine, q)
         chi_ref = oracle_chi_odd(g)
         chi = dp.chi_odd(g, t)
         if chi_ref is None:
@@ -100,9 +108,10 @@ def test_witnesses_are_valid_and_extremal_shape():
 
 def test_results_do_not_depend_on_the_tree():
     rng = random.Random(53)
+    shape_rng = random.Random(530)
     for _ in range(12):
         g = rand_graph(rng, 7, rng.uniform(0.2, 0.8))
-        trees = tree_suite(g, rng)
+        trees = tree_suite(g, rng, shape_rng)
         for solver in (dp.solve_mos, dp.solve_mes, dp.solve_odd_ds, dp.solve_odd_tds):
             results = {solver(g, t) for t in trees}
             assert len(results) == 1, solver.__name__
@@ -232,3 +241,52 @@ def test_root_survivors_have_no_outstanding_defects():
         for (code, sig), (s, p) in tab.items():
             assert code == 0 and sig == ()  # rank-0 cut at the root
             assert check_odd_set(g, s)
+
+
+def test_incremental_cuts_match_from_scratch():
+    """The boundary walk builds every node's cut exactly as from scratch."""
+    rng = random.Random(59)
+    graphs = [rand_graph(rng, rng.randrange(1, 11), rng.uniform(0.1, 0.7))
+              for _ in range(25)]
+    graphs += [
+        Graph.from_edges(6, []),  # edgeless: every cut has rank 0
+        # isolated vertices 3 and 9 beside a path, an edge and a triangle
+        Graph.from_edges(10, [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8), (8, 6)]),
+        Graph.from_edges(9, [(0, 8), (1, 7), (2, 6), (3, 5)]),  # a matching plus vertex 4
+    ]
+    for g in graphs:
+        for t in (bfs_tree(g), random_tree(g, rng), random_tree(g, rng)):
+            collect: dict = {}
+            _run(g, t, "mos", collect=collect)
+            assert len(collect) == len(t.postorder())
+            for cut, _ in collect.values():
+                a, b = cut.a, g.full_mask & ~cut.a
+                scratch = cut_rank(g, a)
+                a_rows = [g.adj[v] & b for v in vertices_of(a)]
+                b_rows = [g.adj[w] & a for w in vertices_of(b)]
+                # boundaries by definition, and the earliest bases over all rows
+                assert cut.basis.a_boundary == scratch.a_boundary == sum(
+                    1 << v for v, row in zip(vertices_of(a), a_rows) if row)
+                assert cut.basis.b_boundary == scratch.b_boundary == sum(
+                    1 << w for w, row in zip(vertices_of(b), b_rows) if row)
+                a_full = rref(Gf2Matrix(tuple(a_rows), g.n))
+                b_full = rref(Gf2Matrix(tuple(b_rows), g.n))
+                assert cut.basis.a_basis_vertices == scratch.a_basis_vertices == tuple(
+                    vertices_of(a)[i] for i in a_full.basis_row_indices)
+                assert cut.basis.b_basis_vertices == scratch.b_basis_vertices == tuple(
+                    vertices_of(b)[i] for i in b_full.basis_row_indices)
+                assert cut.basis.rank == scratch.rank == a_full.rank == b_full.rank
+                # patterns over all of A against the from-scratch B basis
+                profiles = [g.adj[w] & a for w in scratch.b_basis_vertices]
+                patterns: dict[int, int] = {}
+                zero = 0
+                for v in vertices_of(a):
+                    pat = sum(1 << i for i, prof in enumerate(profiles) if prof >> v & 1)
+                    if pat:
+                        patterns[pat] = patterns.get(pat, 0) | 1 << v
+                    else:
+                        zero |= 1 << v
+                assert cut.patterns == patterns
+                assert cut.zero_mask == zero
+                s = a & rng.randrange(1 << g.n)
+                assert cut.basis.a_code(s) == scratch.a_code(s)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import rand_graph
+from conftest import rand_graph, random_tree
 from oddsolve.graph import Graph, GraphError, gen_family, vertices_of
 from oddsolve.rankdec import (
     DecompositionTree,
@@ -51,6 +51,8 @@ def test_caterpillar_structure():
     t.validate_for(g)
     with pytest.raises(GraphError):
         caterpillar(g, [0, 1, 2, 3, 3])
+    with pytest.raises(GraphError, match="empty graph"):
+        caterpillar(Graph.from_edges(0, []), [])
 
 
 def test_single_vertex_tree():
@@ -188,8 +190,21 @@ def test_validate_for_wrong_graph():
 
 def test_width_is_max_over_all_tree_cuts():
     rng = random.Random(25)
+    shape_rng = random.Random(250)
     for _ in range(20):
         g = rand_graph(rng, 8, 0.4)
         t = caterpillar(g, heuristic_order(g))
         expect = max(slow_cut_rank(g, m) for m in t.leaf_masks().values())
         assert width(g, t) == expect
+        for tree in (random_tree(g, shape_rng), random_tree(g, shape_rng)):
+            expect = max(slow_cut_rank(g, m) for m in tree.leaf_masks().values())
+            assert width(g, tree) == expect
+    # isolated vertices and several components, over random bracketings
+    for g in (Graph.from_edges(7, []),
+              Graph.from_edges(10, [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8), (8, 6)]),
+              Graph.from_edges(12, [(u, v) for u in range(4) for v in range(4, 8)]
+                               + [(9, 10), (10, 11)])):
+        for _ in range(5):
+            t = random_tree(g, shape_rng)
+            expect = max(slow_cut_rank(g, m) for m in t.leaf_masks().values())
+            assert width(g, t) == expect
