@@ -10,6 +10,12 @@ things that together decide how it can be completed across the cut (A, B):
     stored as the canonical reduced form of a small affine GF(2) system
     (one equation per realized neighborhood pattern inside A).
 
+The equations are written over the pattern basis, the earliest independent
+patterns, rather than over the completion code itself.  The change of
+variables is onto, so equal reduced forms still mean equal completion sets;
+and a system that selects only basis patterns is a set of unit rows, already
+in reduced form, so elimination runs only for the other patterns.
+
 Two partial solutions with equal keys are interchangeable in every
 completion, so each key retains one extremal witness; keys whose completion
 system is unsatisfiable are dropped immediately.  At the root the cut is
@@ -17,6 +23,7 @@ system is unsatisfiable are dropped immediately.  At the root the cut is
 """
 from __future__ import annotations
 
+from .gf2 import row_basis
 from .graph import Graph, mask_lex_less, vertices_of
 from .rankdec import CutBasis, DecompositionTree, cut_walk
 
@@ -79,18 +86,23 @@ class _NodeCut:
 
     Only boundary vertices of A can see a B-basis vertex, so every other
     vertex of A has the zero pattern.
+
+    Completion equations are written over the pattern basis: with the
+    earliest independent patterns p_1..p_r, put y_i = <p_i, x> for the
+    completion code x.  An independent pattern is then the unit row
+    ``1 << i`` and a dependent one is its coordinates over p_1..p_r.  The
+    map x -> y is onto, so two systems over y have equal solution sets
+    exactly when their completion sets over x are equal, and the reduced
+    form over y is still a canonical signature.
     """
 
-    __slots__ = ("a", "b", "basis", "rb", "rhs_bit", "patterns", "zero_mask")
+    __slots__ = ("a", "b", "basis", "rhs_bit", "patterns", "pattern_rows", "zero_mask")
 
     def __init__(self, g: Graph, a_mask: int, boundary: tuple[int, int]) -> None:
         self.a = a_mask
         self.basis = basis = CutBasis(g, a_mask, boundary)
         self.b = basis.b_mask
-        bverts = basis.b_basis_vertices
-        self.rb = len(bverts)
-        self.rhs_bit = 1 << self.rb
-        profiles = [g.adj[w] & a_mask for w in bverts]
+        profiles = [g.adj[w] & a_mask for w in basis.b_basis_vertices]
         patterns: dict[int, int] = {}
         seen = 0
         for v in vertices_of(basis.a_boundary):
@@ -104,28 +116,44 @@ class _NodeCut:
                 seen |= bit
         self.patterns = patterns
         self.zero_mask = a_mask & ~seen
+        pbasis = row_basis(patterns)
+        independent = set(pbasis.basis_row_indices)
+        # (vertices with this pattern, equation row over y, row is a unit)
+        self.pattern_rows = [
+            (pmask, pbasis.coordinates(pat), i in independent)
+            for i, (pat, pmask) in enumerate(patterns.items())
+        ]
+        self.rhs_bit = 1 << pbasis.rank
 
     def coset_sig(self, d: int, e: int) -> tuple[int, ...] | None:
         """Signature of {completion codes fixing (d, e)}, or None if empty.
 
         A vertex in e with no outside basis neighborhood can never be fixed;
-        vertices sharing a pattern must agree on the required parity.
+        vertices sharing a pattern must agree on the required parity.  Unit
+        rows arrive in increasing pivot order and are already reduced, so
+        elimination runs only when a dependent pattern is selected.
         """
         if e & self.zero_mask:
             return None
+        rhs_bit = self.rhs_bit
         rows: list[int] = []
-        for pat, pmask in self.patterns.items():
+        units_only = True
+        for pmask, yrow, is_unit in self.pattern_rows:
             dm = d & pmask
             if not dm:
                 continue
             em = e & dm
             if em == 0:
-                rows.append(pat)
+                rows.append(yrow)
             elif em == dm:
-                rows.append(pat | self.rhs_bit)
+                rows.append(yrow | rhs_bit)
             else:
                 return None
-        return _sig_rref(rows, self.rhs_bit)
+            if not is_unit:
+                units_only = False
+        if units_only:
+            return tuple(rows)
+        return _sig_rref(rows, rhs_bit)
 
 
 def _child_map(g: Graph, parent: _NodeCut, child: _NodeCut, sibling_mask: int):
@@ -318,21 +346,21 @@ def solve_odd_qcol(g: Graph, t: DecompositionTree, q: int) -> tuple[int, ...] | 
     return tuple(colors)
 
 
-def chi_odd(g: Graph, t: DecompositionTree,
-            q_max: int | None = None) -> tuple[int, tuple[int, ...]] | None:
+def chi_odd(g: Graph, t: DecompositionTree) -> tuple[int, tuple[int, ...]] | None:
     """Minimum q admitting an odd q-coloring, with a witness coloring.
 
     Returns None when undefined, i.e. some component has odd order (odd
-    subgraphs have even order, so no partition can exist).
+    subgraphs have even order, so no partition can exist).  Otherwise the
+    graph has an odd coloring, whose nonempty classes number at most n, so
+    the search over q = 1..n always ends with one.
     """
     if g.n == 0:
         return 0, ()
     for comp in g.components():
         if comp.bit_count() & 1:
             return None
-    limit = g.n if q_max is None else q_max
-    for q in range(1, limit + 1):
+    for q in range(1, g.n + 1):
         colors = solve_odd_qcol(g, t, q)
         if colors is not None:
             return q, colors
-    raise RuntimeError("internal error: no odd coloring within the class budget")
+    raise RuntimeError("internal error: no odd coloring with at most n classes")

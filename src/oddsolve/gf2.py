@@ -14,10 +14,8 @@ __all__ = [
     "Gf2Error",
     "Gf2Matrix",
     "RowBasis",
-    "RrefDecomposition",
     "rank_of",
     "row_basis",
-    "rref",
     "solve",
 ]
 
@@ -100,7 +98,7 @@ class RowBasis:
 def row_basis(rows: Iterable[int]) -> RowBasis:
     """Eliminate `rows` in order; zero and dependent rows leave no trace.
 
-    Unlike `rref` this takes bare ints, so no `Gf2Matrix` is validated.
+    Takes bare ints, so no `Gf2Matrix` is validated.
     """
     elems: list[tuple[int, int, int]] = []
     basis_idx: list[int] = []
@@ -116,43 +114,6 @@ def row_basis(rows: Iterable[int]) -> RowBasis:
             elems.append((cur & -cur, cur, combo))
             basis_idx.append(i)
     return RowBasis(tuple(basis_idx), tuple(elems))
-
-
-@dataclass(frozen=True)
-class RrefDecomposition(RowBasis):
-    """`RowBasis` of a matrix plus its reduced row-echelon form."""
-
-    matrix: Gf2Matrix
-    pivot_cols: tuple[int, ...]
-    rref_rows: tuple[int, ...]
-
-    def reconstruct(self, coords: int) -> int:
-        acc = 0
-        for pos in range(len(self.basis_row_indices)):
-            if coords >> pos & 1:
-                acc ^= self.matrix.rows[self.basis_row_indices[pos]]
-        return acc
-
-
-def rref(m: Gf2Matrix) -> RrefDecomposition:
-    basis = row_basis(m.rows)
-    # canonical display form: mutually reduced, sorted by pivot column
-    rows = [row for _, row, _ in basis._elems]
-    for i in range(len(rows)):
-        p = rows[i] & -rows[i]
-        for j in range(len(rows)):
-            if j != i and rows[j] & p:
-                rows[j] ^= rows[i]
-    order = sorted(range(len(rows)), key=lambda k: rows[k] & -rows[k])
-    rref_rows = tuple(rows[k] for k in order)
-    pivot_cols = tuple((r & -r).bit_length() - 1 for r in rref_rows)
-    return RrefDecomposition(
-        basis_row_indices=basis.basis_row_indices,
-        _elems=basis._elems,
-        matrix=m,
-        pivot_cols=pivot_cols,
-        rref_rows=rref_rows,
-    )
 
 
 def rank_of(rows: Iterable[int]) -> int:

@@ -53,7 +53,7 @@ def solve_all_and_compare(g: Graph) -> None:
     assert dp.solve_odd_ds(g, t) == oracle_odd_ds(g)
     assert dp.solve_odd_tds(g, t) == oracle_odd_tds(g)
     ref = oracle_chi_odd(g, q_max=g.n)
-    mine = dp.chi_odd(g, t, q_max=g.n)
+    mine = dp.chi_odd(g, t)
     if ref is None:
         assert mine is None
     else:

@@ -16,7 +16,7 @@ from conftest import (
 )
 from oddsolve import dp
 from oddsolve.dp import _run, _sig_rref, _SUBSET_KINDS
-from oddsolve.gf2 import Gf2Matrix, rref
+from oddsolve.gf2 import rank_of, row_basis
 from oddsolve.graph import Graph, gen_family, is_odd_set, vertices_of
 from oddsolve.oracle import (
     oracle_chi_odd,
@@ -210,6 +210,79 @@ def test_sig_rref_is_canonical_over_solution_sets():
             seen[sols] = sig
 
 
+def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
+    """At every node, a signature names the set of B-side completion codes
+    that fix (d, e): None exactly when no code does, and equal signatures
+    exactly when the sets, brute-forced over all 2^rb codes, are equal.
+    Elimination runs only when a pattern outside the earliest pattern basis
+    is selected; both the unit-row branch and the elimination branch run."""
+    eliminations: list[int] = []
+    real_sig_rref = dp._sig_rref
+
+    def counting_sig_rref(rows, rhs_bit):
+        eliminations.append(1)
+        return real_sig_rref(rows, rhs_bit)
+
+    monkeypatch.setattr(dp, "_sig_rref", counting_sig_rref)
+    rng = random.Random(60)
+    shape_rng = random.Random(600)
+    kinds = ("mos", "mes", "ds", "tds", "qcol")
+    branches = {"units": 0, "elimination": 0}
+    for i in range(10):
+        g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        for j, t in enumerate(tree_suite(g, rng, shape_rng)):
+            kind = kinds[(i + j) % len(kinds)]
+            collect: dict = {}
+            _run(g, t, kind, q=2, collect=collect)
+            for cut, tab in collect.values():
+                a = cut.a
+                avs = vertices_of(a)
+                profiles = [g.adj[w] & a for w in cut.basis.b_basis_vertices]
+                pat = {v: sum(1 << k for k, prof in enumerate(profiles) if prof >> v & 1)
+                       for v in avs}
+                # distinct nonzero patterns by first vertex, then the earliest basis
+                distinct = list(dict.fromkeys(pat[v] for v in avs if pat[v]))
+                dependent = {p for k, p in enumerate(distinct)
+                             if rank_of(distinct[:k + 1]) == rank_of(distinct[:k])}
+                pairs = []
+                for _, val in tab.items():
+                    if kind == "qcol":
+                        pairs += [(s, s & ~p) for s, p in val]
+                    else:
+                        pairs.append(_SUBSET_KINDS[kind](a, *val))
+                for _ in range(20):
+                    d = a & rng.randrange(1 << g.n)
+                    pairs.append((d, d & rng.randrange(1 << g.n)))
+                sig_of: dict[frozenset, tuple] = {}
+                set_of: dict[tuple, frozenset] = {}
+                for d, e in pairs:
+                    fixes = frozenset(
+                        x for x in range(1 << cut.basis.rank)
+                        if all((pat[v] & x).bit_count() % 2 == (e >> v & 1)
+                               for v in vertices_of(d)))
+                    before = len(eliminations)
+                    sig = cut.coset_sig(d, e)
+                    eliminated = len(eliminations) > before
+                    # the early exits: a vertex that cannot be fixed, or one
+                    # pattern asked for both parities
+                    classes: dict[int, set[int]] = {}
+                    for v in vertices_of(d):
+                        classes.setdefault(pat[v], set()).add(e >> v & 1)
+                    early = bool(e & d & ~sum(1 << v for v in avs if pat[v])) or any(
+                        len(parities) > 1 for parities in classes.values())
+                    selects_dependent = any(p in dependent for p in classes)
+                    assert eliminated == (selects_dependent and not early)
+                    if not early:
+                        branches["elimination" if eliminated else "units"] += 1
+                    if not fixes:
+                        assert sig is None
+                        continue
+                    assert sig is not None
+                    assert sig_of.setdefault(fixes, sig) == sig
+                    assert set_of.setdefault(sig, fixes) == fixes
+    assert branches["units"] and branches["elimination"], branches
+
+
 def test_table_entries_are_internally_consistent():
     rng = random.Random(57)
     for _ in range(10):
@@ -269,8 +342,8 @@ def test_incremental_cuts_match_from_scratch():
                     1 << v for v, row in zip(vertices_of(a), a_rows) if row)
                 assert cut.basis.b_boundary == scratch.b_boundary == sum(
                     1 << w for w, row in zip(vertices_of(b), b_rows) if row)
-                a_full = rref(Gf2Matrix(tuple(a_rows), g.n))
-                b_full = rref(Gf2Matrix(tuple(b_rows), g.n))
+                a_full = row_basis(a_rows)
+                b_full = row_basis(b_rows)
                 assert cut.basis.a_basis_vertices == scratch.a_basis_vertices == tuple(
                     vertices_of(a)[i] for i in a_full.basis_row_indices)
                 assert cut.basis.b_basis_vertices == scratch.b_basis_vertices == tuple(

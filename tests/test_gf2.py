@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from oddsolve.gf2 import Gf2Error, Gf2Matrix, rank_of, rref, solve
+from oddsolve.gf2 import Gf2Error, Gf2Matrix, rank_of, row_basis, solve
 
 
 def mat_vec(m: Gf2Matrix, x: int) -> int:
@@ -52,40 +52,67 @@ def test_rank_matches_span_enumeration():
         assert 1 << rank_of(rows) == len(span)
 
 
-def test_rref_is_canonical_for_the_row_space():
+def combine(rows: list[int], basis_idx: tuple[int, ...], coords: int) -> int:
+    """The vector that `coords` names over the basis rows of `rows`."""
+    acc = 0
+    for pos, i in enumerate(basis_idx):
+        if coords >> pos & 1:
+            acc ^= rows[i]
+    return acc
+
+
+def test_row_basis_rows_are_earliest():
+    b = row_basis([0b011, 0b011, 0b101, 0b110])
+    assert b.rank == 2
+    assert b.basis_row_indices == (0, 2)  # row 1 duplicates row 0, row 3 = 0^2
+    assert row_basis([0, 0b10, 0, 0b10, 0b01]).basis_row_indices == (1, 4)
     rng = random.Random(4)
+    for _ in range(60):
+        rows = [rng.randrange(1 << 5) for _ in range(rng.randrange(8))]
+        # a row enters the basis exactly when the rows before it do not span it
+        earliest = tuple(i for i, r in enumerate(rows)
+                         if rank_of(rows[:i + 1]) > rank_of(rows[:i]))
+        b = row_basis(rows)
+        assert b.basis_row_indices == earliest
+        assert b.rank == rank_of(rows)
+
+
+def test_row_basis_is_invariant_when_in_span_rows_are_appended():
+    rng = random.Random(8)
     for _ in range(40):
-        rows = [rng.randrange(1, 1 << 5) for _ in range(4)]
-        d1 = rref(Gf2Matrix(tuple(rows), 5))
-        # shuffling and adding in-span rows must not change the rref rows
-        mixed = rows[:] + [rows[0] ^ rows[-1]]
-        rng.shuffle(mixed)
-        d2 = rref(Gf2Matrix(tuple(mixed), 5))
-        assert d1.rref_rows == d2.rref_rows
-        assert d1.rank == d2.rank
-        assert list(d1.pivot_cols) == sorted(d1.pivot_cols)
-
-
-def test_rref_basis_rows_are_earliest():
-    m = Gf2Matrix((0b011, 0b011, 0b101, 0b110), 3)
-    d = rref(m)
-    assert d.rank == 2
-    assert d.basis_row_indices == (0, 2)  # row 1 duplicates row 0, row 3 = 0^2
+        rows = [rng.randrange(1 << 6) for _ in range(rng.randrange(1, 6))]
+        extra = [0]
+        for _ in range(3):
+            extra.append(combine(rows, tuple(range(len(rows))),
+                                 rng.randrange(1 << len(rows))))
+        b1 = row_basis(rows)
+        b2 = row_basis(rows + extra)
+        assert b2.basis_row_indices == b1.basis_row_indices
+        for vec in range(1 << 6):
+            assert b2.coordinates(vec) == b1.coordinates(vec)
 
 
 def test_coordinates_roundtrip():
     rng = random.Random(5)
     for _ in range(60):
-        m = rand_matrix(rng, 5, 7)
-        d = rref(m)
+        rows = [rng.randrange(1 << 7) for _ in range(5)]
+        b = row_basis(rows)
+        span = set()
         # every combination of basis rows must roundtrip exactly
-        for coords in range(1 << d.rank):
-            vec = d.reconstruct(coords)
-            assert d.coordinates(vec) == coords
+        for coords in range(1 << b.rank):
+            vec = combine(rows, b.basis_row_indices, coords)
+            assert b.coordinates(vec) == coords
+            assert b.in_span(vec)
+            span.add(vec)
+        assert len(span) == 1 << b.rank
+        # every input row, dependent ones included, is rebuilt from its coordinates
+        for row in rows:
+            assert combine(rows, b.basis_row_indices, b.coordinates(row)) == row
         # vectors outside the span are reported as such
-        outside = rng.randrange(1 << 7)
-        if not d.in_span(outside):
-            assert d.coordinates(outside) is None
+        for vec in range(1 << 7):
+            if vec not in span:
+                assert b.coordinates(vec) is None
+                assert not b.in_span(vec)
 
 
 def test_solve_agrees_with_enumeration_on_small_systems():
