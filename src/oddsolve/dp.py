@@ -8,13 +8,14 @@ things that together decide how it can be completed across the cut (A, B):
     degree parities), and
   * the set of completion codes that fix S's remaining parity defects,
     stored as the canonical reduced form of a small affine GF(2) system
-    (one equation per realized neighborhood pattern inside A).
+    (one equation per realized neighborhood pattern inside A, right-hand
+    side in the highest bit), i.e. `gf2.row_basis(rows).reduced_rows()`.
 
 The equations are written over the pattern basis, the earliest independent
 patterns, rather than over the completion code itself.  The change of
 variables is onto, so equal reduced forms still mean equal completion sets;
 and a system that selects only basis patterns is a set of unit rows, already
-in reduced form, so elimination runs only for the other patterns.
+in reduced form, so `row_basis` runs only when another pattern is selected.
 
 Two partial solutions with equal keys are interchangeable in every
 completion, so each key retains one extremal witness; keys whose completion
@@ -52,33 +53,6 @@ def _better(maximize: bool, new: int, old: int) -> bool:
     if nc != oc:
         return nc > oc if maximize else nc < oc
     return mask_lex_less(new, old)
-
-
-def _sig_rref(rows: list[int], rhs_bit: int) -> tuple[int, ...] | None:
-    """Canonical reduced form of an affine system, or None if unsatisfiable.
-
-    Each row is a coefficient pattern with the right-hand side in `rhs_bit`.
-    The reduced rows are unique for a given solution set, so equal signatures
-    mean equal completion sets.
-    """
-    basis: list[int] = []
-    pivots: list[int] = []
-    for r in rows:
-        for piv, b in zip(pivots, basis):
-            if r & piv:
-                r ^= b
-        if r == 0:
-            continue
-        if r == rhs_bit:
-            return None
-        piv = r & -r
-        for i, b in enumerate(basis):
-            if b & piv:
-                basis[i] ^= r
-        basis.append(r)
-        pivots.append(piv)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return tuple(basis[i] for i in order)
 
 
 class _NodeCut:
@@ -153,7 +127,11 @@ class _NodeCut:
                 units_only = False
         if units_only:
             return tuple(rows)
-        return _sig_rref(rows, rhs_bit)
+        sig = row_basis(rows).reduced_rows()
+        # rhs_bit is the highest bit, so 0 = 1 is always the last reduced row
+        if sig and sig[-1] == rhs_bit:
+            return None
+        return sig
 
 
 def _child_map(g: Graph, parent: _NodeCut, child: _NodeCut, sibling_mask: int):
@@ -201,10 +179,10 @@ def _join_table(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, kind: str
     defect = _SUBSET_KINDS[kind]
     maximize = _MAXIMIZING[kind]
     table: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+    lifted_y = [(*get_y(cy), sy, py) for (cy, _), (sy, py) in ty.items()]
     for (cx, _), (sx, px) in tx.items():
         up_x, cross_x = get_x(cx)
-        for (cy, _), (sy, py) in ty.items():
-            up_y, cross_y = get_y(cy)
+        for up_y, cross_y, sy, py in lifted_y:
             s = sx | sy
             p = (px ^ (cross_y & ax)) | (py ^ (cross_x & ay))
             d, e = defect(cut.a, s, p)
@@ -235,14 +213,15 @@ def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
 
 def _join_table_qcol(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, q: int):
     table: dict[tuple, tuple] = {}
+    lifted_y = [(valy, [get_y(c) for c, _ in keyy]) for keyy, valy in ty.items()]
     for keyx, valx in tx.items():
         lifted_x = [get_x(c) for c, _ in keyx]
-        for keyy, valy in ty.items():
+        for valy, lifted in lifted_y:
             key: list[tuple[int, tuple[int, ...]]] = []
             val: list[tuple[int, int]] = []
             for i in range(q):
                 up_x, cross_x = lifted_x[i]
-                up_y, cross_y = get_y(keyy[i][0])
+                up_y, cross_y = lifted[i]
                 sx, px = valx[i]
                 sy, py = valy[i]
                 s = sx | sy

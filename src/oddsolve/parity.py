@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Gf2Matrix, solve
+from .gf2 import solve
 from .graph import Graph, GraphError, vertices_of
 
 __all__ = [
@@ -51,21 +51,18 @@ def _two_coloring_system(g: Graph, vertex_rhs: int) -> TwoColoring | None:
     edges = vertex_rhs, i.e. v's degree inside its own class has that parity.
     """
     edges = list(g.edges())
-    nvars = g.n + len(edges)
-    rows = []
-    rhs_bits = []
+    m = len(edges)
+    # equations: edge k is row k, vertex v is row m + v; columns x_v then y_e
+    at_vertex = [0] * g.n
+    y_cols = []
     for k, (u, v) in enumerate(edges):
-        rows.append((1 << u) | (1 << v) | (1 << (g.n + k)))
-        rhs_bits.append(1)
-    incident: list[int] = [0] * g.n
-    for k, (u, v) in enumerate(edges):
-        incident[u] |= 1 << (g.n + k)
-        incident[v] |= 1 << (g.n + k)
-    for v in range(g.n):
-        rows.append(incident[v])
-        rhs_bits.append(vertex_rhs)
-    rhs = sum(b << i for i, b in enumerate(rhs_bits))
-    x = solve(Gf2Matrix(tuple(rows), nvars), rhs)
+        at_vertex[u] |= 1 << k
+        at_vertex[v] |= 1 << k
+        y_cols.append((1 << k) | (1 << (m + u)) | (1 << (m + v)))
+    rhs = (1 << m) - 1
+    if vertex_rhs:
+        rhs |= ((1 << g.n) - 1) << m
+    x = solve(at_vertex + y_cols, rhs)
     if x is None:
         return None
     colors = tuple(x >> v & 1 for v in range(g.n))
@@ -104,7 +101,7 @@ def _gallai(g: Graph, self_extra: int) -> tuple[int, int]:
         rows.append(row)
         if g.degree(v) & 1:
             rhs |= 1 << v
-    x = solve(Gf2Matrix(tuple(rows), g.n), rhs)
+    x = solve(rows, rhs)  # the matrix is symmetric: its rows are its columns
     if x is None:
         raise RuntimeError("internal error: Gallai partition system infeasible")
     return x, g.full_mask & ~x

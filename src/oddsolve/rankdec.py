@@ -113,7 +113,7 @@ class CutBasis:
 
     Rows of side A are the neighborhoods of A-vertices restricted to B (ints
     over the full vertex range; B-columns only can be set).  The basis picks
-    the earliest independent vertices, so representatives are canonical.
+    the earliest independent vertices, so codes are canonical.
 
     Only a boundary vertex (one with a neighbor across the cut) has a nonzero
     row, and a zero row never enters an earliest basis, so each side's basis
@@ -142,14 +142,6 @@ class CutBasis:
         code = self.a_dec.coordinates(acc & self.b_mask)
         assert code is not None, "subset row must lie in the side's row space"
         return code
-
-    def a_representative(self, code: int) -> int:
-        """Vertex mask of the canonical representative with this code."""
-        mask = 0
-        for i, v in enumerate(self.a_basis_vertices):
-            if code >> i & 1:
-                mask |= 1 << v
-        return mask
 
 
 def _boundaries(g: Graph, a_mask: int) -> tuple[int, int]:

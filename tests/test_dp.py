@@ -15,8 +15,8 @@ from conftest import (
     random_tree,
 )
 from oddsolve import dp
-from oddsolve.dp import _run, _sig_rref, _SUBSET_KINDS
-from oddsolve.gf2 import rank_of, row_basis
+from oddsolve.dp import _run, _SUBSET_KINDS
+from oddsolve.gf2 import row_basis
 from oddsolve.graph import Graph, gen_family, is_odd_set, vertices_of
 from oddsolve.oracle import (
     oracle_chi_odd,
@@ -187,7 +187,10 @@ def test_disconnected_graphs():
 
 # ------------------------------------------------------------- internals
 
-def test_sig_rref_is_canonical_over_solution_sets():
+def test_reduced_rows_are_canonical_over_solution_sets():
+    """`row_basis(rows).reduced_rows()` is the signature `coset_sig` uses for
+    an affine system with the right-hand side in the highest bit: the system
+    is unsatisfiable exactly when its last reduced row is that bit alone."""
     rng = random.Random(56)
     rhs_bit = 1 << 4
     seen: dict[frozenset, tuple] = {}
@@ -196,11 +199,11 @@ def test_sig_rref_is_canonical_over_solution_sets():
         sols = frozenset(
             x for x in range(1 << 4)
             if all(bin(x & (r & 0xF)).count("1") % 2 == (r >> 4 & 1) for r in rows))
-        sig = _sig_rref(rows, rhs_bit)
+        sig = row_basis(rows).reduced_rows()
         if not sols:
-            assert sig is None
+            assert sig and sig[-1] == rhs_bit
             continue
-        assert sig is not None
+        assert rhs_bit not in sig
         if sols in seen:
             assert seen[sols] == sig  # same solution set -> same signature
         else:
@@ -217,13 +220,11 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
     Elimination runs only when a pattern outside the earliest pattern basis
     is selected; both the unit-row branch and the elimination branch run."""
     eliminations: list[int] = []
-    real_sig_rref = dp._sig_rref
 
-    def counting_sig_rref(rows, rhs_bit):
+    def counting_row_basis(rows):
         eliminations.append(1)
-        return real_sig_rref(rows, rhs_bit)
+        return row_basis(rows)
 
-    monkeypatch.setattr(dp, "_sig_rref", counting_sig_rref)
     rng = random.Random(60)
     shape_rng = random.Random(600)
     kinds = ("mos", "mes", "ds", "tds", "qcol")
@@ -234,6 +235,8 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
             kind = kinds[(i + j) % len(kinds)]
             collect: dict = {}
             _run(g, t, kind, q=2, collect=collect)
+            # count eliminations in coset_sig only, not in the cut setup
+            monkeypatch.setattr(dp, "row_basis", counting_row_basis)
             for cut, tab in collect.values():
                 a = cut.a
                 avs = vertices_of(a)
@@ -242,8 +245,8 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                        for v in avs}
                 # distinct nonzero patterns by first vertex, then the earliest basis
                 distinct = list(dict.fromkeys(pat[v] for v in avs if pat[v]))
-                dependent = {p for k, p in enumerate(distinct)
-                             if rank_of(distinct[:k + 1]) == rank_of(distinct[:k])}
+                earliest = row_basis(distinct).basis_row_indices
+                dependent = set(distinct) - {distinct[k] for k in earliest}
                 pairs = []
                 for _, val in tab.items():
                     if kind == "qcol":
@@ -280,6 +283,7 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                     assert sig is not None
                     assert sig_of.setdefault(fixes, sig) == sig
                     assert set_of.setdefault(sig, fixes) == fixes
+            monkeypatch.undo()
     assert branches["units"] and branches["elimination"], branches
 
 

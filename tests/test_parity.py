@@ -136,6 +136,31 @@ def test_gallai_edge_cases():
     assert check_odd_set(k2, a) and check_even_set(k2, b)
 
 
+# (family, n): odd 2-coloring classes or None, even 2-coloring classes,
+# gallai_odd_even, gallai_even_even.  Free variables are fixed to 0, so
+# each system has exactly one reported solution; these pin which one.
+PINNED_PARITY_OUTPUTS = {
+    ("path", 4): ((1, 1, 0, 0), (1, 0, 1, 0), (6, 9), (5, 10)),
+    ("path", 5): (None, (0, 1, 0, 1, 0), (27, 4), (10, 21)),
+    ("cycle", 5): (None, (0, 0, 0, 0, 0), (0, 31), (0, 31)),
+    ("cycle", 6): (None, (1, 0, 1, 0, 1, 0), (0, 63), (0, 63)),
+    ("clique", 4): ((0, 1, 1, 0), (1, 1, 1, 0), (15, 0), (1, 14)),
+    ("star", 5): (None, (1, 0, 0, 0, 0), (3, 28), (1, 30)),
+    ("star", 6): ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (3, 60), (1, 62)),
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(PINNED_PARITY_OUTPUTS))
+def test_parity_outputs_are_pinned(family, n):
+    g = gen_family(family, n)
+    odd, even, odd_even, even_even = PINNED_PARITY_OUTPUTS[family, n]
+    got_odd = odd_two_coloring(g)
+    assert (None if got_odd is None else got_odd.colors) == odd
+    assert even_two_coloring(g).colors == even
+    assert gallai_odd_even(g) == odd_even
+    assert gallai_even_even(g) == even_even
+
+
 # -------------------------------------------------------------- orientation
 
 def component_parity_ok(g: Graph) -> bool:

@@ -89,21 +89,25 @@ def test_cut_basis_codes_roundtrip():
     for _ in range(40):
         g = rand_graph(rng, 7)
         a = rng.randrange(1, 1 << 6)
+        b = g.full_mask & ~a
         cb = cut_rank(g, a)
+        code_of: dict[int, int] = {}  # N2(S) & B -> code
         for _ in range(10):
             s = a & rng.randrange(1 << 7)
-            code = cb.a_code(s)
-            rep = cb.a_representative(code)
-            # representative must be indistinguishable from s across the cut
-            b = g.full_mask & ~a
             n2_s = 0
-            n2_rep = 0
             for v in range(g.n):
                 if bin(g.adj[v] & s).count("1") % 2:
                     n2_s |= 1 << v
-                if bin(g.adj[v] & rep).count("1") % 2:
-                    n2_rep |= 1 << v
-            assert n2_s & b == n2_rep & b
+            code = cb.a_code(s)
+            # the basis vertices the code selects toggle B exactly as s does
+            acc = 0
+            for i, v in enumerate(cb.a_basis_vertices):
+                if code >> i & 1:
+                    acc ^= g.adj[v] & b
+            assert acc == n2_s & b
+            # equal codes exactly for equal behaviour across the cut
+            assert code_of.setdefault(n2_s & b, code) == code
+        assert len(set(code_of.values())) == len(code_of)
 
 
 def test_cut_rank_rejects_foreign_vertices():
