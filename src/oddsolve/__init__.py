@@ -13,8 +13,10 @@ from .graph import Graph, GraphError, gen_family, parse_graph, write_graph
 from .rankdec import (
     DecompositionTree,
     TreeFormatError,
+    auto_tree,
     caterpillar,
     cut_rank,
+    elimination_tree,
     heuristic_order,
     optimal_linear,
     parse_tree,
@@ -29,9 +31,11 @@ __all__ = [
     "Graph",
     "GraphError",
     "TreeFormatError",
+    "auto_tree",
     "caterpillar",
     "chi_odd",
     "cut_rank",
+    "elimination_tree",
     "gen_family",
     "heuristic_order",
     "optimal_linear",

@@ -22,7 +22,7 @@ __all__ = ["main"]
 SOLVE_PROBLEMS = ("mos", "mes", "odd-qcol", "chi-odd", "odd-ds", "odd-tds")
 POLY_OPS = ("odd2col", "even2col", "gallai-ee", "gallai-oe", "odd-orient",
             "join-bound", "cograph-3col")
-DECOMPOSE_METHODS = ("caterpillar-bfs", "caterpillar-degree", "optimal-linear")
+DECOMPOSE_METHODS = ("caterpillar-bfs", "caterpillar-degree", "min-degree", "optimal-linear")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -84,13 +84,13 @@ def _vertex_list(mask: int) -> str:
     return " ".join(str(v + 1) for v in vertices_of(mask))
 
 
-def _decomposition_for(g: Graph, args) -> tuple[rankdec.DecompositionTree, str]:
+def _decomposition_for(g: Graph, args) -> tuple[rankdec.DecompositionTree, str, int]:
+    """(tree, source, width): the --dec file, else the narrower automatic tree."""
     if getattr(args, "dec", None):
         t = rankdec.parse_tree(_read(args.dec))
-        t.validate_for(g)
-        return t, "file"
-    order = rankdec.heuristic_order(g, "bfs")
-    return rankdec.caterpillar(g, order), "auto caterpillar-bfs"
+        return t, "file", rankdec.width(g, t)
+    t, name, w = rankdec.auto_tree(g)
+    return t, f"auto {name}", w
 
 
 def _emit_certificate(args, cert: ct.Certificate, out: list[str]) -> None:
@@ -113,8 +113,8 @@ def _cmd_solve(args) -> tuple[int, list[str]]:
         t = None
         out = ["decomposition=none width=0"]
     else:
-        t, source = _decomposition_for(g, args)
-        out = [f"decomposition={source} width={rankdec.width(g, t)}"]
+        t, source, w = _decomposition_for(g, args)
+        out = [f"decomposition={source} width={w}"]
 
     if problem in ("mos", "mes", "odd-ds", "odd-tds"):
         solver = {"mos": dp.solve_mos, "mes": dp.solve_mes,
@@ -261,6 +261,8 @@ def _cmd_decompose(args) -> tuple[int, list[str]]:
     g = _load_graph(args.graph)
     if args.method == "optimal-linear":
         t = rankdec.optimal_linear(g)
+    elif args.method == "min-degree":
+        t = rankdec.elimination_tree(g)
     else:
         method = "bfs" if args.method == "caterpillar-bfs" else "degree"
         t = rankdec.caterpillar(g, rankdec.heuristic_order(g, method))
@@ -339,7 +341,8 @@ def _build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="solve exactly over a rank decomposition")
     p_solve.add_argument("problem", choices=SOLVE_PROBLEMS)
     p_solve.add_argument("--graph", required=True)
-    p_solve.add_argument("--dec", help="decomposition tree file (default: auto caterpillar)")
+    p_solve.add_argument("--dec", help="decomposition tree file (default: the narrower of "
+                                       "the BFS caterpillar and the min-degree tree)")
     p_solve.add_argument("--q", type=int, help="class budget for odd-qcol")
     p_solve.add_argument("--emit-certificate", metavar="PATH")
     p_solve.add_argument("--threads", type=int,

@@ -7,6 +7,7 @@ the bipartite adjacency matrix across any of these cuts.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -17,9 +18,11 @@ __all__ = [
     "CutBasis",
     "DecompositionTree",
     "TreeFormatError",
+    "auto_tree",
     "caterpillar",
     "cut_rank",
     "cut_walk",
+    "elimination_tree",
     "heuristic_order",
     "optimal_linear",
     "parse_tree",
@@ -229,6 +232,77 @@ def caterpillar(g: Graph, order: list[int]) -> DecompositionTree:
         spine = nxt
         nxt += 1
     return DecompositionTree(children, leaf_vertex, spine)
+
+
+def elimination_tree(g: Graph) -> DecompositionTree:
+    """Binary tree from a greedy min-degree elimination order.
+
+    Vertices are eliminated by least degree in the fill graph, ties toward
+    the smaller vertex.  A vertex's parent is the earliest eliminated member
+    of its higher neighbourhood (its fill-graph neighbours when eliminated),
+    and each finished subtree is joined onto its parent's cluster; the roots
+    of this elimination forest are chained last.  A cut is then a vertex
+    with some of its child subtrees, or whole components, so the width is
+    at most 1 + the largest higher neighbourhood.  A forest gets no fill,
+    so its width is 1 (0 without edges).
+    """
+    n = g.n
+    if n == 0:
+        raise GraphError("empty graph has no decomposition tree")
+    fill = list(g.adj)
+    heap = [(row.bit_count(), v) for v, row in enumerate(fill)]
+    heapq.heapify(heap)
+    alive = g.full_mask
+    order: list[int] = []
+    higher = [0] * n
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if not alive >> v & 1 or deg != fill[v].bit_count():
+            continue  # eliminated already, or a stale degree
+        alive ^= 1 << v
+        order.append(v)
+        higher[v] = nbhd = fill[v]
+        for u in vertices_of(nbhd):
+            old = fill[u]
+            fill[u] = row = (old | nbhd) & ~(1 << u | 1 << v)
+            if row.bit_count() != old.bit_count():
+                heapq.heappush(heap, (row.bit_count(), u))
+    pos = {v: i for i, v in enumerate(order)}
+    cluster = list(range(n))  # leaf id v carries vertex v
+    children: dict[int, tuple[int, int]] = {}
+    roots: list[int] = []
+    for v in order:
+        if not higher[v]:
+            roots.append(cluster[v])
+            continue
+        parent = min(vertices_of(higher[v]), key=pos.__getitem__)
+        node = n + len(children)
+        children[node] = (cluster[parent], cluster[v])
+        cluster[parent] = node
+    spine = roots[0]
+    for r in roots[1:]:
+        node = n + len(children)
+        children[node] = (spine, r)
+        spine = node
+    return DecompositionTree(children, {v: v for v in range(n)}, spine)
+
+
+def auto_tree(g: Graph) -> tuple[DecompositionTree, str, int]:
+    """(tree, method name, width): the BFS caterpillar, or the min-degree
+    elimination tree when that is strictly narrower.
+
+    A width-1 caterpillar cannot be beaten, so the candidate is not built.
+    Ties keep the caterpillar, whose joins examine about 2·|Tₓ| pairs, not
+    |Tₓ|·|T_y|.
+    """
+    t = caterpillar(g, heuristic_order(g, "bfs"))
+    w = width(g, t)
+    if w > 1:
+        candidate = elimination_tree(g)
+        cw = width(g, candidate)
+        if cw < w:
+            return candidate, "min-degree", cw
+    return t, "caterpillar-bfs", w
 
 
 def heuristic_order(g: Graph, method: str = "bfs") -> list[int]:

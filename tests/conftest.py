@@ -18,6 +18,12 @@ def rand_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def binary_tree(depth: int) -> Graph:
+    """Complete binary tree of the given depth, heap-labelled."""
+    n = (1 << depth + 1) - 1
+    return Graph.from_edges(n, [(v, (v - 1) // 2) for v in range(1, n)])
+
+
 def random_tree(g: Graph, rng: random.Random) -> DecompositionTree:
     """Random bracketing of a shuffled vertex order: split every block at a
     uniformly random point, so internal nodes often have two internal

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import binary_tree
+from oddsolve import rankdec
 from oddsolve.cli import DECOMPOSE_METHODS, SOLVE_PROBLEMS, main
 from oddsolve.graph import parse_graph, write_graph, gen_family
 
@@ -105,12 +107,49 @@ def test_solve_with_explicit_decomposition(capsys, c6_file, tmp_path):
     assert "decomposition=file" in out
 
 
-def test_decompose_methods_report_width(capsys, c6_file):
-    for method in ("caterpillar-bfs", "caterpillar-degree", "optimal-linear"):
+def test_decompose_methods_report_width(capsys, c6_file, tmp_path):
+    assert "min-degree" in DECOMPOSE_METHODS
+    for method in DECOMPOSE_METHODS:
         code, out, _ = run(capsys, "decompose", "--graph", c6_file, "--method", method)
         assert code == 0
         value = int(out.splitlines()[0].split()[0].split("=")[1])
         assert value >= 1
+    # the elimination tree written to a file solves like any other
+    dec = tmp_path / "c6-min-degree.tree"
+    code, out, _ = run(capsys, "decompose", "--graph", c6_file,
+                       "--method", "min-degree", "--out", str(dec))
+    assert code == 0 and out.splitlines()[1] == "method=min-degree"
+    code, out, _ = run(capsys, "solve", "mos", "--graph", c6_file, "--dec", str(dec))
+    assert code == 0 and out.splitlines()[1].startswith("decomposition=file width=")
+
+
+def test_default_decomposition_names_its_choice(capsys, k222_file, p4_file, tmp_path,
+                                                 monkeypatch):
+    # depth-4 complete binary tree: BFS caterpillar width 6, elimination tree 1
+    forest = tmp_path / "bintree.col"
+    forest.write_text(write_graph(binary_tree(4)))
+    width_passes: list[int] = []
+    real_width = rankdec.width
+
+    def counting_width(g, t):
+        width_passes.append(1)
+        return real_width(g, t)
+
+    monkeypatch.setattr(rankdec, "width", counting_width)
+    for graph, second, passes in ((str(forest), "decomposition=auto min-degree width=1", 2),
+                                  (k222_file, "decomposition=auto caterpillar-bfs width=2", 2),
+                                  (p4_file, "decomposition=auto caterpillar-bfs width=1", 1)):
+        width_passes.clear()
+        code, out, _ = run(capsys, "solve", "mos", "--graph", graph)
+        assert code == 0 and out.splitlines()[1] == second
+        assert len(width_passes) == passes, graph
+    # a --dec file gets exactly one width pass
+    dec = tmp_path / "bintree.tree"
+    run(capsys, "decompose", "--graph", str(forest), "--method", "min-degree", "--out", str(dec))
+    width_passes.clear()
+    code, out, _ = run(capsys, "solve", "odd-ds", "--graph", str(forest), "--dec", str(dec))
+    assert code == 0 and out.splitlines()[1] == "decomposition=file width=1"
+    assert len(width_passes) == 1
 
 
 def test_empty_graph(capsys, tmp_path):

@@ -26,7 +26,13 @@ from oddsolve.oracle import (
     oracle_odd_qcol,
     oracle_odd_tds,
 )
-from oddsolve.rankdec import caterpillar, cut_rank, heuristic_order, optimal_linear
+from oddsolve.rankdec import (
+    caterpillar,
+    cut_rank,
+    elimination_tree,
+    heuristic_order,
+    optimal_linear,
+)
 
 
 def bfs_tree(g: Graph):
@@ -34,8 +40,9 @@ def bfs_tree(g: Graph):
 
 
 def tree_suite(g: Graph, rng: random.Random, shape_rng: random.Random):
-    """Caterpillars from `rng` plus two random bracketings from `shape_rng`,
-    kept apart so the bracketings leave the graph corpus unchanged."""
+    """Caterpillars from `rng`, two random bracketings from `shape_rng`, kept
+    apart so the bracketings leave the graph corpus unchanged, and the
+    min-degree elimination tree, which draws no random numbers."""
     order = list(range(g.n))
     rng.shuffle(order)
     return [
@@ -46,6 +53,7 @@ def tree_suite(g: Graph, rng: random.Random, shape_rng: random.Random):
         optimal_linear(g),
         random_tree(g, shape_rng),
         random_tree(g, shape_rng),
+        elimination_tree(g),
     ]
 
 
@@ -67,7 +75,7 @@ def test_all_problems_match_oracle_random():
         n = rng.randrange(5, 9)
         g = rand_graph(rng, n, rng.uniform(0.2, 0.8))
         t = bfs_tree(g)
-        for tree in (t, random_tree(g, shape_rng)):
+        for tree in (t, random_tree(g, shape_rng), elimination_tree(g)):
             assert dp.solve_mos(g, tree) == oracle_mos(g)
             assert dp.solve_mes(g, tree) == oracle_mes(g)
             assert dp.solve_odd_ds(g, tree) == oracle_odd_ds(g)
@@ -332,7 +340,8 @@ def test_incremental_cuts_match_from_scratch():
         Graph.from_edges(9, [(0, 8), (1, 7), (2, 6), (3, 5)]),  # a matching plus vertex 4
     ]
     for g in graphs:
-        for t in (bfs_tree(g), random_tree(g, rng), random_tree(g, rng)):
+        for t in (bfs_tree(g), random_tree(g, rng), random_tree(g, rng),
+                  elimination_tree(g)):
             collect: dict = {}
             _run(g, t, "mos", collect=collect)
             assert len(collect) == len(t.postorder())

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
-from conftest import rand_graph, random_tree
+from conftest import binary_tree, rand_graph, random_tree
 from oddsolve.graph import Graph, GraphError, gen_family, vertices_of
+from oddsolve import rankdec
 from oddsolve.rankdec import (
     DecompositionTree,
     TreeFormatError,
+    auto_tree,
     caterpillar,
     cut_rank,
+    elimination_tree,
     heuristic_order,
     optimal_linear,
     parse_tree,
@@ -200,7 +203,8 @@ def test_width_is_max_over_all_tree_cuts():
         t = caterpillar(g, heuristic_order(g))
         expect = max(slow_cut_rank(g, m) for m in t.leaf_masks().values())
         assert width(g, t) == expect
-        for tree in (random_tree(g, shape_rng), random_tree(g, shape_rng)):
+        for tree in (random_tree(g, shape_rng), random_tree(g, shape_rng),
+                     elimination_tree(g)):
             expect = max(slow_cut_rank(g, m) for m in tree.leaf_masks().values())
             assert width(g, tree) == expect
     # isolated vertices and several components, over random bracketings
@@ -208,7 +212,117 @@ def test_width_is_max_over_all_tree_cuts():
               Graph.from_edges(10, [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8), (8, 6)]),
               Graph.from_edges(12, [(u, v) for u in range(4) for v in range(4, 8)]
                                + [(9, 10), (10, 11)])):
-        for _ in range(5):
-            t = random_tree(g, shape_rng)
+        for t in [random_tree(g, shape_rng) for _ in range(5)] + [elimination_tree(g)]:
             expect = max(slow_cut_rank(g, m) for m in t.leaf_masks().values())
             assert width(g, t) == expect
+
+
+def random_forest(rng: random.Random, n: int) -> Graph:
+    """Random forest on shuffled labels: each vertex after the first joins a
+    random earlier one with probability 0.8, else starts a new component."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[v], label[rng.randrange(v)]) for v in range(1, n) if rng.random() < 0.8]
+    return Graph.from_edges(n, edges)
+
+
+def test_elimination_tree_has_width_one_on_forests():
+    rng = random.Random(26)
+    several = isolated = 0
+    for _ in range(60):
+        g = random_forest(rng, rng.randrange(2, 81))
+        assert width(g, elimination_tree(g)) == (1 if g.m else 0), g.n
+        several += len(g.components()) > 1
+        isolated += any(not row for row in g.adj)
+    assert several >= 30 and isolated >= 30, (several, isolated)
+    for n in (1, 2, 9):
+        edgeless = Graph.from_edges(n, [])
+        assert width(edgeless, elimination_tree(edgeless)) == 0
+    # several components, isolated vertices among them
+    forest = Graph.from_edges(12, [(0, 1), (1, 2), (1, 3), (5, 6), (8, 9), (9, 10), (10, 11)])
+    assert width(forest, elimination_tree(forest)) == 1
+
+
+def test_elimination_tree_structure():
+    rng = random.Random(27)
+    for _ in range(30):
+        g = rand_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.8))
+        t = elimination_tree(g)
+        assert sorted(t.leaf_vertex.values()) == list(range(g.n))
+        assert len(t.children) == g.n - 1
+        back = parse_tree(write_tree(t))
+        assert back == t and write_tree(back) == write_tree(t)
+        assert elimination_tree(g) == t  # deterministic
+    k1 = Graph.from_edges(1, [])
+    t = elimination_tree(k1)
+    assert t.n_leaves == 1 and t.is_leaf(t.root) and width(k1, t) == 0
+    with pytest.raises(GraphError, match="empty graph has no decomposition tree"):
+        elimination_tree(Graph.from_edges(0, []))
+
+
+def test_auto_tree_keeps_a_width_one_caterpillar(monkeypatch):
+    def never(g):
+        raise AssertionError("candidate built although the caterpillar has width 1")
+
+    monkeypatch.setattr(rankdec, "elimination_tree", never)
+    p50 = gen_family("path", 50)
+    t, name, w = auto_tree(p50)
+    assert (name, w) == ("caterpillar-bfs", 1)
+    assert t == caterpillar(p50, heuristic_order(p50, "bfs"))
+
+
+def test_auto_tree_picks_min_degree_on_a_binary_tree():
+    g = binary_tree(4)
+    assert width(g, caterpillar(g, heuristic_order(g, "bfs"))) > 1
+    t, name, w = auto_tree(g)
+    assert (name, w) == ("min-degree", 1)
+    assert t == elimination_tree(g)
+    # a genuine binary tree: some node joins two internal children, which no
+    # caterpillar has
+    assert any(not t.is_leaf(x) and not t.is_leaf(y) for x, y in t.children.values())
+
+
+def test_auto_tree_is_never_wider_and_ties_keep_the_caterpillar():
+    rng = random.Random(28)
+    picked = {"caterpillar-bfs": 0, "min-degree": 0}
+    for _ in range(100):
+        g = rand_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.9))
+        cat = caterpillar(g, heuristic_order(g, "bfs"))
+        cat_w = width(g, cat)
+        elim_w = width(g, elimination_tree(g))
+        t, name, w = auto_tree(g)
+        assert w == width(g, t) <= cat_w
+        if elim_w < cat_w:
+            assert (t, name, w) == (elimination_tree(g), "min-degree", elim_w)
+        else:
+            assert (t, name, w) == (cat, "caterpillar-bfs", cat_w)
+        picked[name] += 1
+    assert all(picked.values()), picked
+
+
+def min_degree_bags(g: Graph) -> list[set[int]]:
+    """Higher neighbourhoods of a min-degree elimination with fill, over
+    plain sets; test-local reference."""
+    nbrs = {v: set(vertices_of(g.adj[v])) for v in range(g.n)}
+    bags = []
+    while nbrs:
+        v = min(nbrs, key=lambda u: (len(nbrs[u]), u))
+        bag = nbrs.pop(v)
+        for u in bag:
+            nbrs[u] |= bag - {u}
+            nbrs[u].discard(v)
+        bags.append(bag)
+    return bags
+
+
+def test_elimination_tree_width_is_bounded_by_its_bags():
+    rng = random.Random(29)
+    for _ in range(60):
+        g = rand_graph(rng, rng.randrange(1, 15), rng.uniform(0.1, 0.6))
+        bound = 1 + max(len(bag) for bag in min_degree_bags(g))
+        assert width(g, elimination_tree(g)) <= bound
+    for r, c in ((3, 8), (4, 6), (5, 5)):
+        g = Graph.from_edges(r * c, [(v, v + 1) for v in range(r * c) if (v + 1) % c]
+                             + [(v, v + c) for v in range(r * c - c)])
+        bound = 1 + max(len(bag) for bag in min_degree_bags(g))
+        assert width(g, elimination_tree(g)) <= bound, (r, c)
