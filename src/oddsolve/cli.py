@@ -4,7 +4,8 @@ Subcommands: solve, oracle, poly, decompose, gen, verify.  Every run prints
 a machine-readable first line `value=<int|none> feasible=<true|false>`
 followed by human detail lines.  Exit codes: 0 feasible/defined, 2
 infeasible/undefined, 1 error (bad arguments, unreadable files, failed
-certificate checks).
+certificate checks, out of memory, a closed stdout), reported as one
+`error: ...` line on stderr.
 """
 from __future__ import annotations
 
@@ -419,8 +420,22 @@ def main(argv=None) -> int:
             oracle.OracleCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    for line in lines:
-        print(line)
+    except MemoryError:
+        lines = None  # report below, once the traceback has released the tables
+    if lines is None:
+        print("error: out of memory; a narrower decomposition (--dec) may fit",
+              file=sys.stderr)
+        return EXIT_ERROR
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter shutdown does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return EXIT_ERROR
     return code
 
 

@@ -21,8 +21,18 @@ Two partial solutions with equal keys are interchangeable in every
 completion, so each key retains one extremal witness; keys whose completion
 system is unsatisfiable are dropped immediately.  At the root the cut is
 (V, {}), both key parts collapse, and the surviving witness is the answer.
+
+An odd q-coloring is q odd subsets, one per class, so each class has a
+state (code, signature) as above with the mos defect.  The classes are
+interchangeable, so a q-coloring key is the sorted tuple of its q class
+states, and the witness stores each class's (S, parities) in the same
+order.  A join tries every distinct arrangement of the y key's multiset
+against the x key; there are at most q!/(m_1!···m_k!) of them when the y
+states occur m_1, ..., m_k times, and q for a leaf.
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 from .gf2 import row_basis
 from .graph import Graph, mask_lex_less, vertices_of
@@ -196,45 +206,81 @@ def _join_table(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, kind: str
     return table
 
 
+def _distinct_orders(states: tuple) -> Iterator[list[int]]:
+    """Index orders that rearrange the sorted `states` into each of their
+    distinct sequences exactly once.
+
+    Lexicographic next-permutation over the states' group ids visits every
+    multiset permutation once, q!/(m_1!···m_k!) in all, never the q! orders
+    of the indices.  Equal states take their indices in increasing order,
+    so every result is a permutation of range(q).
+    """
+    q = len(states)
+    start: list[int] = []  # first index of each run of equal states
+    seq: list[int] = []  # group id per position
+    for i, st in enumerate(states):
+        if not i or st != states[i - 1]:
+            start.append(i)
+        seq.append(len(start) - 1)
+    while True:
+        taken = start[:]
+        order = []
+        for gid in seq:
+            order.append(taken[gid])
+            taken[gid] += 1
+        yield order
+        i = q - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = q - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = reversed(seq[i + 1:])
+
+
 def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
-    bit = 1 << u
-    own_sig = cut.coset_sig(bit, bit)
-    table: dict[tuple, tuple] = {}
-    if own_sig is None:
-        return table
-    own_code = cut.basis.a_code(bit)
-    empty_sig = cut.coset_sig(0, 0)
-    for i in range(q):
-        key = tuple((own_code, own_sig) if j == i else (0, empty_sig) for j in range(q))
-        val = tuple((bit, 0) if j == i else (0, 0) for j in range(q))
-        table[key] = val
-    return table
+    """One orbit: u's own class state beside q - 1 empty classes."""
+    leaf = _leaf_table(cut, u, "mos")
+    if len(leaf) < 2:  # u cannot lie in an odd class
+        return {}
+    (empty, empty_w), (own, own_w) = leaf.items()
+    classes = sorted([(own, own_w)] + [(empty, empty_w)] * (q - 1))
+    return {tuple(st for st, _ in classes): tuple(w for _, w in classes)}
 
 
 def _join_table_qcol(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, q: int):
+    """Every x key in its sorted order against every distinct arrangement of
+    each y key's multiset: equal y states give equal results, so this
+    covers every matching of x classes to y classes.  The arrangements are
+    generated one at a time, so a join holds no more than its two tables
+    even when a y key has q!/(m_1!···m_k!) of them."""
     table: dict[tuple, tuple] = {}
-    lifted_y = [(valy, [get_y(c) for c, _ in keyy]) for keyy, valy in ty.items()]
-    for keyx, valx in tx.items():
-        lifted_x = [get_x(c) for c, _ in keyx]
-        for valy, lifted in lifted_y:
-            key: list[tuple[int, tuple[int, ...]]] = []
-            val: list[tuple[int, int]] = []
-            for i in range(q):
-                up_x, cross_x = lifted_x[i]
-                up_y, cross_y = lifted[i]
-                sx, px = valx[i]
-                sy, py = valy[i]
-                s = sx | sy
-                p = (px ^ (cross_y & ax)) | (py ^ (cross_x & ay))
-                sig = cut.coset_sig(s, s & ~p)
-                if sig is None:
-                    break
-                key.append((up_x ^ up_y, sig))
-                val.append((s, p))
-            else:
-                tkey = tuple(key)
-                if tkey not in table:
-                    table[tkey] = tuple(val)
+    lifted_xs = [[(*get_x(c), sx, px) for (c, _), (sx, px) in zip(keyx, valx)]
+                 for keyx, valx in tx.items()]
+    for keyy, valy in ty.items():
+        lifted = [(*get_y(c), sy, py) for (c, _), (sy, py) in zip(keyy, valy)]
+        for order in _distinct_orders(keyy):
+            lifted_y = [lifted[i] for i in order]
+            for lifted_x in lifted_xs:
+                states: list[tuple[int, tuple[int, ...]]] = []
+                val: list[tuple[int, int]] = []
+                for i in range(q):
+                    up_x, cross_x, sx, px = lifted_x[i]
+                    up_y, cross_y, sy, py = lifted_y[i]
+                    s = sx | sy
+                    p = (px ^ (cross_y & ax)) | (py ^ (cross_x & ay))
+                    sig = cut.coset_sig(s, s & ~p)
+                    if sig is None:
+                        break
+                    states.append((up_x ^ up_y, sig))
+                    val.append((s, p))
+                else:
+                    key = tuple(sorted(states))
+                    if key not in table:
+                        table[key] = tuple(w for _, w in sorted(zip(states, val)))
     return table
 
 
@@ -318,8 +364,11 @@ def solve_odd_qcol(g: Graph, t: DecompositionTree, q: int) -> tuple[int, ...] | 
     if not root_table:
         return None
     val = next(iter(root_table.values()))
+    # number the nonempty classes by first use: the table's class order is
+    # the order of class states, which says nothing at the root
+    classes = sorted((s for s, _ in val if s), key=lambda s: s & -s)
     colors = [0] * g.n
-    for i, (s, _) in enumerate(val):
+    for i, s in enumerate(classes):
         for v in vertices_of(s):
             colors[v] = i
     return tuple(colors)

@@ -201,8 +201,12 @@ def cut_walk(g: Graph, t: DecompositionTree) -> Iterator[tuple[int, int, int, in
         yield node, a, a_bd, nbhd & ~a
 
 
-def width(g: Graph, t: DecompositionTree) -> int:
-    """Maximum cut rank over the tree, each rank from the smaller boundary."""
+def width(g: Graph, t: DecompositionTree, stop_at: int | None = None) -> int:
+    """Maximum cut rank over the tree, each rank from the smaller boundary.
+
+    With `stop_at`, the walk ends at the first cut whose rank reaches it:
+    the result is exact when below `stop_at`, else some rank >= `stop_at`.
+    """
     t.validate_for(g)
     adj = g.adj
     best = 0
@@ -212,6 +216,8 @@ def width(g: Graph, t: DecompositionTree) -> int:
         else:
             rank = rank_of(adj[w] & a for w in vertices_of(b_bd))
         best = max(best, rank)
+        if stop_at is not None and best >= stop_at:
+            break
     return best
 
 
@@ -293,15 +299,20 @@ def auto_tree(g: Graph) -> tuple[DecompositionTree, str, int]:
 
     A width-1 caterpillar cannot be beaten, so the candidate is not built.
     Ties keep the caterpillar, whose joins examine about 2·|Tₓ| pairs, not
-    |Tₓ|·|T_y|.
+    |Tₓ|·|T_y|.  The caterpillar is ranked only as far as it can still win:
+    first up to 2, then, if the candidate has width cw > 1, up to cw + 1.
+    The reported width is exact either way.
     """
     t = caterpillar(g, heuristic_order(g, "bfs"))
-    w = width(g, t)
-    if w > 1:
-        candidate = elimination_tree(g)
-        cw = width(g, candidate)
-        if cw < w:
-            return candidate, "min-degree", cw
+    w = width(g, t, stop_at=2)
+    if w <= 1:
+        return t, "caterpillar-bfs", w
+    candidate = elimination_tree(g)
+    cw = width(g, candidate)
+    if cw > 1:
+        w = width(g, t, stop_at=cw + 1)
+    if cw < w:
+        return candidate, "min-degree", cw
     return t, "caterpillar-bfs", w
 
 

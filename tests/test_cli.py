@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from conftest import binary_tree
-from oddsolve import rankdec
+from oddsolve import dp, rankdec
 from oddsolve.cli import DECOMPOSE_METHODS, SOLVE_PROBLEMS, main
 from oddsolve.graph import parse_graph, write_graph, gen_family
 
@@ -128,28 +129,31 @@ def test_default_decomposition_names_its_choice(capsys, k222_file, p4_file, tmp_
     # depth-4 complete binary tree: BFS caterpillar width 6, elimination tree 1
     forest = tmp_path / "bintree.col"
     forest.write_text(write_graph(binary_tree(4)))
-    width_passes: list[int] = []
+    width_passes: list[int | None] = []  # the bound of each pass
     real_width = rankdec.width
 
-    def counting_width(g, t):
-        width_passes.append(1)
-        return real_width(g, t)
+    def counting_width(g, t, stop_at=None):
+        width_passes.append(stop_at)
+        return real_width(g, t, stop_at)
 
     monkeypatch.setattr(rankdec, "width", counting_width)
-    for graph, second, passes in ((str(forest), "decomposition=auto min-degree width=1", 2),
-                                  (k222_file, "decomposition=auto caterpillar-bfs width=2", 2),
-                                  (p4_file, "decomposition=auto caterpillar-bfs width=1", 1)):
+    # the caterpillar is ranked up to 2, the candidate fully, and the
+    # caterpillar again up to the candidate's width + 1 when that is > 1
+    for graph, second, passes in (
+            (str(forest), "decomposition=auto min-degree width=1", [2, None]),
+            (k222_file, "decomposition=auto caterpillar-bfs width=2", [2, None, 3]),
+            (p4_file, "decomposition=auto caterpillar-bfs width=1", [2])):
         width_passes.clear()
         code, out, _ = run(capsys, "solve", "mos", "--graph", graph)
         assert code == 0 and out.splitlines()[1] == second
-        assert len(width_passes) == passes, graph
+        assert width_passes == passes, graph
     # a --dec file gets exactly one width pass
     dec = tmp_path / "bintree.tree"
     run(capsys, "decompose", "--graph", str(forest), "--method", "min-degree", "--out", str(dec))
     width_passes.clear()
     code, out, _ = run(capsys, "solve", "odd-ds", "--graph", str(forest), "--dec", str(dec))
     assert code == 0 and out.splitlines()[1] == "decomposition=file width=1"
-    assert len(width_passes) == 1
+    assert width_passes == [None]
 
 
 def test_empty_graph(capsys, tmp_path):
@@ -276,6 +280,30 @@ def test_output_is_byte_identical_across_thread_counts(tmp_path):
                               capture_output=True, check=True)
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
+
+
+def test_out_of_memory_exits_with_1_and_one_line(capsys, c6_file, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(dp, "solve_mos", exhausted)
+    code, out, err = run(capsys, "solve", "mos", "--graph", c6_file)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+
+
+def test_closed_stdout_exits_with_1_and_one_line(c6_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddsolve.cli", "solve", "odd-qcol",
+             "--graph", c6_file, "--q", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: standard output was closed"]
 
 
 def test_gen_random_is_seed_deterministic(tmp_path):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import time
+from itertools import permutations, product
 
 import pytest
 
@@ -15,7 +17,7 @@ from conftest import (
     random_tree,
 )
 from oddsolve import dp
-from oddsolve.dp import _run, _SUBSET_KINDS
+from oddsolve.dp import _distinct_orders, _run, _SUBSET_KINDS
 from oddsolve.gf2 import row_basis
 from oddsolve.graph import Graph, gen_family, is_odd_set, vertices_of
 from oddsolve.oracle import (
@@ -110,6 +112,28 @@ def test_witnesses_are_valid_and_extremal_shape():
         res = dp.solve_odd_tds(g, t)
         if res is not None:
             assert check_odd_tds(g, res[1]) and res[1].bit_count() == res[0]
+
+
+def test_qcol_and_chi_odd_match_oracle_on_every_tree_shape():
+    rng = random.Random(64)
+    shape_rng = random.Random(640)
+    graphs = [rand_graph(rng, rng.choice((6, 8)), rng.uniform(0.3, 0.8)) for _ in range(10)]
+    # chi-odd 3 and 4, and one odd-order graph
+    graphs += [gen_family("k222"), gen_family("kn-subdivided", 4), rand_graph(rng, 7, 0.5)]
+    for g in graphs:
+        refs = {q: oracle_odd_qcol(g, q) is not None for q in (1, 2, 3, 4)}
+        chi_ref = oracle_chi_odd(g)
+        for t in tree_suite(g, rng, shape_rng):
+            for q, feasible in refs.items():
+                mine = dp.solve_odd_qcol(g, t, q)
+                assert (mine is not None) == feasible, q
+                if feasible:
+                    assert check_odd_coloring(g, mine, q)
+            chi = dp.chi_odd(g, t)
+            if chi_ref is None:
+                assert chi is None
+            else:
+                assert chi[0] == chi_ref and check_odd_coloring(g, chi[1], chi_ref)
 
 
 # ------------------------------------------------------ tree independence
@@ -315,6 +339,113 @@ def test_table_entries_are_internally_consistent():
                     assert code == cut.basis.a_code(s)
                     d, e = defect(cut.a, s, p)
                     assert sig == cut.coset_sig(d, e)
+
+
+def _class_state(g: Graph, cut, s: int):
+    """(state, parity mask) of one class s <= A, recomputed from scratch."""
+    p = sum(1 << v for v in vertices_of(cut.a) if (g.adj[v] & s).bit_count() & 1)
+    return (cut.basis.a_code(s), cut.coset_sig(s, s & ~p)), p
+
+
+def test_distinct_orders_visit_each_multiset_permutation_once():
+    rng = random.Random(63)
+    for _ in range(40):
+        states = tuple(sorted(rng.randrange(3) for _ in range(rng.randrange(1, 7))))
+        orders = list(_distinct_orders(states))
+        assert all(sorted(order) == list(range(len(states))) for order in orders)
+        seqs = [tuple(states[i] for i in order) for order in orders]
+        assert len(set(seqs)) == len(seqs)
+        assert set(seqs) == set(permutations(states))
+
+
+def test_qcol_keys_are_the_sorted_class_states_of_every_coloring():
+    """Each node's key set is exactly the set of sorted class-state tuples
+    over all q-colorings of A whose classes can all still be completed."""
+    rng = random.Random(61)
+    shape_rng = random.Random(610)
+    for i in range(8):
+        g = rand_graph(rng, rng.choice((6, 8)), rng.uniform(0.3, 0.8))
+        q = 2 + i % 2
+        for t in tree_suite(g, rng, shape_rng):
+            collect: dict = {}
+            _run(g, t, "qcol", q=q, collect=collect)
+            for cut, tab in collect.values():
+                avs = vertices_of(cut.a)
+                state = {}
+                for bits in range(1 << len(avs)):
+                    s = sum(1 << v for k, v in enumerate(avs) if bits >> k & 1)
+                    st, _ = _class_state(g, cut, s)
+                    state[s] = None if st[1] is None else st
+                expect = set()
+                for coloring in product(range(q), repeat=len(avs)):
+                    classes = [0] * q
+                    for v, c in zip(avs, coloring):
+                        classes[c] |= 1 << v
+                    states = [state[s] for s in classes]
+                    if None not in states:
+                        expect.add(tuple(sorted(states)))
+                assert set(tab) == expect, (g.n, q)
+
+
+def test_qcol_witnesses_realise_their_keys():
+    rng = random.Random(62)
+    shape_rng = random.Random(620)
+    for i in range(8):
+        g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        q = 1 + i % 4
+        for t in tree_suite(g, rng, shape_rng):
+            collect: dict = {}
+            _run(g, t, "qcol", q=q, collect=collect)
+            for cut, tab in collect.values():
+                for key, val in tab.items():
+                    assert len(key) == len(val) == q
+                    assert list(key) == sorted(key)
+                    union = 0
+                    for st, (s, p) in zip(key, val):
+                        assert s & union == 0 and s & ~cut.a == 0
+                        union |= s
+                        assert _class_state(g, cut, s) == (st, p)
+                    assert union == cut.a
+
+
+def test_qcol_largest_tables_hold_one_key_per_orbit():
+    """Pinned largest tables, one key per orbit under renaming the classes:
+    the 4x20 grid at q = 3 on the column-major caterpillar (642 keys as
+    ordered q-tuples), and 20 once-subdivided K4s at q = 4 on the BFS
+    caterpillar (240 as ordered q-tuples)."""
+    rows, cols = 4, 20
+    grid = Graph.from_edges(rows * cols, [(v, v + 1) for v in range(rows * cols) if (v + 1) % rows]
+                            + [(v, v + rows) for v in range(rows * cols - rows)])
+    k4s = []
+    for base in range(0, 200, 10):
+        mid = base + 4
+        for i in range(4):
+            for j in range(i + 1, 4):
+                k4s += [(base + i, mid), (base + j, mid)]
+                mid += 1
+    k4sub = Graph.from_edges(200, k4s)
+    for g, t, q, largest in ((grid, caterpillar(grid, list(range(grid.n))), 3, 111),
+                             (k4sub, bfs_tree(k4sub), 4, 16)):
+        collect: dict = {}
+        _run(g, t, "qcol", q=q, collect=collect)
+        assert max(len(tab) for _, tab in collect.values()) == largest
+        assert dp.solve_odd_qcol(g, t, q) is not None
+
+
+def test_qcol_with_as_many_classes_as_vertices_is_fast():
+    """q = n stays polynomial in q on a caterpillar: a leaf joins in q
+    arrangements, never in q! orders."""
+    # the Petersen graph (cubic) plus a triangle through its vertex 0: the
+    # whole graph is not odd, but the Petersen graph and the edge 10-11 are
+    petersen = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 6), (2, 7), (3, 8),
+                (4, 9), (5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]
+    g = Graph.from_edges(12, petersen + [(0, 10), (0, 11), (10, 11)])
+    start = time.perf_counter()
+    mine = dp.solve_odd_qcol(g, bfs_tree(g), g.n)
+    assert time.perf_counter() - start < 10
+    assert oracle_odd_qcol(g, g.n) is not None
+    assert check_odd_coloring(g, mine, g.n)
+    assert dp.solve_odd_qcol(g, bfs_tree(g), 1) is None
 
 
 def test_root_survivors_have_no_outstanding_defects():

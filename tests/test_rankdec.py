@@ -282,7 +282,23 @@ def test_auto_tree_picks_min_degree_on_a_binary_tree():
     assert any(not t.is_leaf(x) and not t.is_leaf(y) for x, y in t.children.values())
 
 
+def test_bounded_width_is_exact_below_the_bound():
+    rng = random.Random(30)
+    shape_rng = random.Random(300)
+    for _ in range(40):
+        g = rand_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.9))
+        for t in (random_tree(g, shape_rng), caterpillar(g, heuristic_order(g, "bfs"))):
+            exact = width(g, t)
+            for bound in range(exact + 3):
+                got = width(g, t, stop_at=bound)
+                if exact < bound:
+                    assert got == exact
+                else:
+                    assert exact >= got >= bound
+
+
 def test_auto_tree_is_never_wider_and_ties_keep_the_caterpillar():
+    """The bounded passes choose exactly as unbounded ones would."""
     rng = random.Random(28)
     picked = {"caterpillar-bfs": 0, "min-degree": 0}
     for _ in range(100):
