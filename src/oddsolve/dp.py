@@ -17,6 +17,13 @@ variables is onto, so equal reduced forms still mean equal completion sets;
 and a system that selects only basis patterns is a set of unit rows, already
 in reduced form, so `row_basis` runs only when another pattern is selected.
 
+At a node whose distinct patterns are all independent, every system is such
+a set of unit rows, named by which patterns it selects and the right-hand
+side of each.  There the signature is one int over a representative vertex
+per pattern: selected representatives in the low n bits, those asking for
+odd outside degree above them.  Keys are only compared within one node, so
+the two encodings never meet.
+
 Two partial solutions with equal keys are interchangeable in every
 completion, so each key retains one extremal witness; keys whose completion
 system is unsatisfiable are dropped immediately.  At the root the cut is
@@ -57,6 +64,10 @@ _SUBSET_KINDS = {
 }
 _MAXIMIZING = {"mos": True, "mes": True, "ds": False, "tds": False}
 
+# A completion signature: an int at a node whose outside patterns are
+# independent, reduced rows otherwise (see `_NodeCut`).
+_Sig = int | tuple[int, ...]
+
 
 def _better(maximize: bool, new: int, old: int) -> bool:
     nc, oc = new.bit_count(), old.bit_count()
@@ -78,9 +89,21 @@ class _NodeCut:
     map x -> y is onto, so two systems over y have equal solution sets
     exactly when their completion sets over x are equal, and the reduced
     form over y is still a canonical signature.
+
+    When every pattern is independent (`units`), each pattern has its own
+    coordinate y_i and y ranges over all of GF(2)^r.  A system that passes
+    the parity checks is then satisfiable, its completion set is fixed by
+    which patterns it selects and the right-hand side of each, and distinct
+    choices give distinct sets.  So `coset_sig` returns ``sel | odd << n``:
+    sel holds one representative vertex per selected pattern, odd the
+    representatives of those asking for odd outside degree.  A vertex alone
+    in its pattern (`singles`) represents itself; a pattern shared by
+    several vertices (`twins`) is represented by its lowest vertex.
+    `pattern_rows` is filled only at the other nodes.
     """
 
-    __slots__ = ("a", "b", "basis", "rhs_bit", "patterns", "pattern_rows", "zero_mask")
+    __slots__ = ("a", "b", "basis", "rhs_bit", "patterns", "pattern_rows", "zero_mask",
+                 "units", "singles", "twins", "odd_shift")
 
     def __init__(self, g: Graph, a_mask: int, boundary: tuple[int, int]) -> None:
         self.a = a_mask
@@ -101,24 +124,53 @@ class _NodeCut:
         self.patterns = patterns
         self.zero_mask = a_mask & ~seen
         pbasis = row_basis(patterns)
-        independent = set(pbasis.basis_row_indices)
-        # (vertices with this pattern, equation row over y, row is a unit)
-        self.pattern_rows = [
-            (pmask, pbasis.coordinates(pat), i in independent)
-            for i, (pat, pmask) in enumerate(patterns.items())
-        ]
         self.rhs_bit = 1 << pbasis.rank
+        self.units = pbasis.rank == len(patterns)
+        self.odd_shift = g.n
+        self.singles = 0
+        self.twins: list[tuple[int, int]] = []  # (vertices with the pattern, lowest one)
+        self.pattern_rows: list[tuple[int, int, bool]] = []
+        if self.units:
+            for pmask in patterns.values():
+                if pmask & (pmask - 1):
+                    self.twins.append((pmask, pmask & -pmask))
+                else:
+                    self.singles |= pmask
+        else:
+            independent = set(pbasis.basis_row_indices)
+            # (vertices with this pattern, equation row over y, row is a unit)
+            self.pattern_rows = [
+                (pmask, pbasis.coordinates(pat), i in independent)
+                for i, (pat, pmask) in enumerate(patterns.items())
+            ]
 
-    def coset_sig(self, d: int, e: int) -> tuple[int, ...] | None:
+    def coset_sig(self, d: int, e: int) -> _Sig | None:
         """Signature of {completion codes fixing (d, e)}, or None if empty.
 
-        A vertex in e with no outside basis neighborhood can never be fixed;
-        vertices sharing a pattern must agree on the required parity.  Unit
-        rows arrive in increasing pivot order and are already reduced, so
-        elimination runs only when a dependent pattern is selected.
+        `e` must lie inside `d`.  A vertex in e with no outside basis
+        neighborhood can never be fixed; vertices sharing a pattern must
+        agree on the required parity.  When every pattern is independent the
+        signature is the int ``sel | odd << n`` over one vertex per pattern;
+        otherwise unit rows arrive in increasing pivot order and are already
+        reduced, so elimination runs only when a dependent pattern is
+        selected.
         """
         if e & self.zero_mask:
             return None
+        if self.units:
+            singles = self.singles
+            sel = d & singles
+            odd = e & singles
+            for pmask, low in self.twins:
+                dm = d & pmask
+                if dm:
+                    em = e & dm
+                    if em:
+                        if em != dm:
+                            return None
+                        odd |= low
+                    sel |= low
+            return sel | odd << self.odd_shift
         rhs_bit = self.rhs_bit
         rows: list[int] = []
         units_only = True
@@ -175,7 +227,7 @@ def _child_map(g: Graph, parent: _NodeCut, child: _NodeCut, sibling_mask: int):
 
 def _leaf_table(cut: _NodeCut, u: int, kind: str):
     defect = _SUBSET_KINDS[kind]
-    table: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+    table: dict[tuple[int, _Sig], tuple[int, int]] = {}
     for s in (0, 1 << u):
         d, e = defect(cut.a, s, 0)
         sig = cut.coset_sig(d, e)
@@ -188,7 +240,7 @@ def _leaf_table(cut: _NodeCut, u: int, kind: str):
 def _join_table(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, kind: str):
     defect = _SUBSET_KINDS[kind]
     maximize = _MAXIMIZING[kind]
-    table: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
+    table: dict[tuple[int, _Sig], tuple[int, int]] = {}
     lifted_y = [(*get_y(cy), sy, py) for (cy, _), (sy, py) in ty.items()]
     for (cx, _), (sx, px) in tx.items():
         up_x, cross_x = get_x(cx)
@@ -265,7 +317,7 @@ def _join_table_qcol(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, q: i
         for order in _distinct_orders(keyy):
             lifted_y = [lifted[i] for i in order]
             for lifted_x in lifted_xs:
-                states: list[tuple[int, tuple[int, ...]]] = []
+                states: list[tuple[int, _Sig]] = []
                 val: list[tuple[int, int]] = []
                 for i in range(q):
                     up_x, cross_x, sx, px = lifted_x[i]

@@ -1,15 +1,17 @@
 """Brute-force reference solvers, used as ground truth in tests.
 
-Everything here enumerates candidate solutions outright; there is no pruning
-beyond stopping at the first violated vertex of a candidate.  Hard vertex-count
-caps keep accidental misuse from hanging a session.  Enumeration order is
-increasing cardinality, then lexicographic on the sorted vertex list, so the
-returned witnesses are canonical.
+The subset routines enumerate candidate solutions outright, stopping only at
+the first violated vertex of a candidate; the coloring routine prunes a
+prefix as soon as an assigned vertex is violated.  Hard vertex-count caps keep
+accidental misuse from hanging a test run.  Subset enumeration order is
+increasing cardinality, then lexicographic on the sorted vertex list, and
+colorings come in lexicographic order, so the returned witnesses are
+canonical.
 """
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import combinations
 
 from .graph import Graph, mask_lex_less, mask_of
 
@@ -74,29 +76,53 @@ def oracle_mes(g: Graph) -> tuple[int, int]:
 
 
 def oracle_odd_qcol(g: Graph, q: int) -> tuple[int, ...] | None:
-    """First coloring of V by q classes all inducing odd subgraphs, or None."""
+    """Lexicographically first coloring of V by q classes all inducing odd
+    subgraphs, or None.
+
+    Only first-use colorings are enumerated, in lexicographic order: vertex v
+    takes a class already used by 0..v-1 or the next new one.  That loses
+    nothing, because renumbering a coloring's classes by first use never
+    makes it lexicographically larger: at the first position where the two
+    differ, the renumbered one opens its next new class m, and the original
+    uses a class unused so far, whose number is at least m.  So the first
+    valid first-use coloring is the first valid coloring.  An odd class has
+    at least two vertices, so at most min(q, n // 2) classes are opened, and
+    a prefix is dropped once a vertex whose neighbors are all assigned has
+    even degree in its class.
+    """
     _check_cap(g, CAP_COLOR, "oracle_odd_qcol")
     if q < 1:
         raise ValueError("q must be >= 1")
+    n = g.n
     adj = g.adj
-    for coloring in product(range(q), repeat=g.n):
-        classes = [0] * q
-        for v, c in enumerate(coloring):
-            classes[c] |= 1 << v
-        ok = True
-        for v, c in enumerate(coloring):
-            if not (adj[v] & classes[c]).bit_count() & 1:
-                ok = False
-                break
-        if ok:
-            return coloring
-    return None
+    # settled[v]: the vertices whose neighbors (and themselves) all lie in 0..v
+    settled: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        settled[(adj[u] | 1 << u).bit_length() - 1].append(u)
+    max_classes = min(q, n // 2)
+    colors = [0] * n
+    classes = [0] * max_classes
+
+    def extend(v: int, used: int) -> bool:
+        if v == n:
+            return True
+        bit = 1 << v
+        for c in range(min(used + 1, max_classes)):
+            colors[v] = c
+            classes[c] |= bit
+            ok = all((adj[u] & classes[colors[u]]).bit_count() & 1 for u in settled[v])
+            if ok and extend(v + 1, max(used, c + 1)):
+                return True
+            classes[c] ^= bit
+        return False
+
+    return tuple(colors) if extend(0, 0) else None
 
 
 def oracle_chi_odd(g: Graph, q_max: int | None = None) -> int | float | None:
     """Odd chromatic number; None when a component has odd order.
 
-    Enumerates q^n colorings for q = 1..q_max (default n; a defined value
+    Searches odd q-colorings for q = 1..q_max (default n; a defined value
     never exceeds n, so the default never exhausts).  Returns math.inf when
     the value is defined but exceeds an explicit q_max.
     """

@@ -245,12 +245,27 @@ def test_reduced_rows_are_canonical_over_solution_sets():
             seen[sols] = sig
 
 
+def _outside_patterns(g: Graph, cut) -> dict[int, int]:
+    """Each A-vertex's neighborhood over the cut's B basis, from scratch."""
+    profiles = [g.adj[w] & cut.a for w in cut.basis.b_basis_vertices]
+    return {v: sum(1 << k for k, prof in enumerate(profiles) if prof >> v & 1)
+            for v in vertices_of(cut.a)}
+
+
+def _completion_set(cut, pat: dict[int, int], d: int, e: int) -> frozenset:
+    """Brute force: the completion codes x with <pat[v], x> = [v in e] on d."""
+    return frozenset(
+        x for x in range(1 << cut.basis.rank)
+        if all((pat[v] & x).bit_count() % 2 == (e >> v & 1) for v in vertices_of(d)))
+
+
 def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
     """At every node, a signature names the set of B-side completion codes
     that fix (d, e): None exactly when no code does, and equal signatures
     exactly when the sets, brute-forced over all 2^rb codes, are equal.
-    Elimination runs only when a pattern outside the earliest pattern basis
-    is selected; both the unit-row branch and the elimination branch run."""
+    A node whose patterns are all independent uses the mask branch.
+    Elsewhere elimination runs only when a pattern outside the earliest
+    pattern basis is selected; all three branches run."""
     eliminations: list[int] = []
 
     def counting_row_basis(rows):
@@ -260,7 +275,7 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
     rng = random.Random(60)
     shape_rng = random.Random(600)
     kinds = ("mos", "mes", "ds", "tds", "qcol")
-    branches = {"units": 0, "elimination": 0}
+    branches = {"mask": 0, "units": 0, "elimination": 0}
     for i in range(10):
         g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for j, t in enumerate(tree_suite(g, rng, shape_rng)):
@@ -272,13 +287,12 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
             for cut, tab in collect.values():
                 a = cut.a
                 avs = vertices_of(a)
-                profiles = [g.adj[w] & a for w in cut.basis.b_basis_vertices]
-                pat = {v: sum(1 << k for k, prof in enumerate(profiles) if prof >> v & 1)
-                       for v in avs}
+                pat = _outside_patterns(g, cut)
                 # distinct nonzero patterns by first vertex, then the earliest basis
                 distinct = list(dict.fromkeys(pat[v] for v in avs if pat[v]))
                 earliest = row_basis(distinct).basis_row_indices
                 dependent = set(distinct) - {distinct[k] for k in earliest}
+                assert cut.units == (not dependent)
                 pairs = []
                 for _, val in tab.items():
                     if kind == "qcol":
@@ -288,13 +302,10 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                 for _ in range(20):
                     d = a & rng.randrange(1 << g.n)
                     pairs.append((d, d & rng.randrange(1 << g.n)))
-                sig_of: dict[frozenset, tuple] = {}
-                set_of: dict[tuple, frozenset] = {}
+                sig_of: dict[frozenset, object] = {}
+                set_of: dict[object, frozenset] = {}
                 for d, e in pairs:
-                    fixes = frozenset(
-                        x for x in range(1 << cut.basis.rank)
-                        if all((pat[v] & x).bit_count() % 2 == (e >> v & 1)
-                               for v in vertices_of(d)))
+                    fixes = _completion_set(cut, pat, d, e)
                     before = len(eliminations)
                     sig = cut.coset_sig(d, e)
                     eliminated = len(eliminations) > before
@@ -308,7 +319,8 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                     selects_dependent = any(p in dependent for p in classes)
                     assert eliminated == (selects_dependent and not early)
                     if not early:
-                        branches["elimination" if eliminated else "units"] += 1
+                        branches["mask" if cut.units else
+                                 "elimination" if eliminated else "units"] += 1
                     if not fixes:
                         assert sig is None
                         continue
@@ -316,7 +328,73 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                     assert sig_of.setdefault(fixes, sig) == sig
                     assert set_of.setdefault(sig, fixes) == fixes
             monkeypatch.undo()
-    assert branches["units"] and branches["elimination"], branches
+    assert all(branches.values()), branches
+
+
+def _with_false_twins(rng: random.Random, n: int, p: float, copies: int) -> Graph:
+    """A random graph plus `copies` vertices, each a copy of an earlier
+    vertex's neighborhood (a false twin: same neighbors, not adjacent)."""
+    g = rand_graph(rng, n, p)
+    adj = list(g.adj)
+    for new in range(n, n + copies):
+        nbrs = adj[rng.randrange(new)]
+        adj.append(nbrs)
+        for w in vertices_of(nbrs):
+            adj[w] |= 1 << new
+    return Graph.from_edges(len(adj), [(u, w) for u in range(len(adj))
+                                       for w in vertices_of(adj[u]) if u < w])
+
+
+def test_mask_signatures_are_canonical_on_twin_classes():
+    """At a node whose outside patterns are all independent, a pattern that
+    two or more A-vertices share (a twin class) enters the mask signature
+    through its lowest vertex.  Over graphs with forced false twins, equal
+    signatures mean equal brute-forced completion sets and back, and None
+    means no completion, including a twin class asked for both parities."""
+    rng = random.Random(65)
+    shape_rng = random.Random(650)
+    seen = {"twin": 0, "mixed": 0}
+    for _ in range(12):
+        g = _with_false_twins(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.7),
+                              rng.randrange(1, 4))
+        for t in tree_suite(g, rng, shape_rng):
+            collect: dict = {}
+            _run(g, t, "mos", collect=collect)
+            for cut, tab in collect.values():
+                if not cut.units:
+                    continue
+                pat = _outside_patterns(g, cut)
+                by_pattern: dict[int, int] = {}
+                for v, pv in pat.items():
+                    if pv:
+                        by_pattern[pv] = by_pattern.get(pv, 0) | 1 << v
+                twins = [pmask for pmask in by_pattern.values() if pmask & (pmask - 1)]
+                pairs = [(s, s & ~p) for s, p in tab.values()]
+                for _ in range(30):
+                    d = cut.a & rng.randrange(1 << g.n)
+                    pairs.append((d, d & rng.randrange(1 << g.n)))
+                for pmask in twins:
+                    # the whole class with either parity, and a mixed one
+                    low = pmask & -pmask
+                    d = cut.a & rng.randrange(1 << g.n) | pmask
+                    e = d & rng.randrange(1 << g.n) & ~pmask
+                    pairs += [(d, e), (d, e | pmask), (d, e | low)]
+                sig_of: dict[frozenset, object] = {}
+                set_of: dict[object, frozenset] = {}
+                for d, e in pairs:
+                    fixes = _completion_set(cut, pat, d, e)
+                    sig = cut.coset_sig(d, e)
+                    selected = [pmask for pmask in twins if d & pmask]
+                    if not fixes:
+                        assert sig is None
+                        if any(0 != e & d & pmask != d & pmask for pmask in selected):
+                            seen["mixed"] += 1
+                        continue
+                    assert isinstance(sig, int)
+                    seen["twin"] += bool(selected)
+                    assert sig_of.setdefault(fixes, sig) == sig
+                    assert set_of.setdefault(sig, fixes) == fixes
+    assert seen["twin"] and seen["mixed"], seen
 
 
 def test_table_entries_are_internally_consistent():
@@ -453,9 +531,12 @@ def test_root_survivors_have_no_outstanding_defects():
     for _ in range(10):
         g = rand_graph(rng, 6, 0.5)
         t = bfs_tree(g)
-        tab = _run(g, t, "mos")
+        collect: dict = {}
+        tab = _run(g, t, "mos", collect=collect)
+        root_cut, _ = collect[t.root]
         for (code, sig), (s, p) in tab.items():
-            assert code == 0 and sig == ()  # rank-0 cut at the root
+            # rank-0 cut at the root: no code, and the empty completion system
+            assert code == 0 and sig == root_cut.coset_sig(0, 0)
             assert check_odd_set(g, s)
 
 

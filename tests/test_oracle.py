@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from itertools import combinations, product
 
 import pytest
 
 from conftest import (
     all_labeled_graphs,
+    check_odd_coloring,
     check_odd_ds,
     check_odd_set,
     check_odd_tds,
@@ -130,6 +132,44 @@ def test_qcol_matches_enumeration():
                     feasible = True
                     break
             assert (oracle_odd_qcol(g, q) is not None) == feasible
+
+
+def _first_coloring_by_product(g: Graph, q: int):
+    """Reference: scan all q^n colorings in lexicographic order."""
+    for coloring in product(range(q), repeat=g.n):
+        if check_odd_coloring(g, coloring, q):
+            return coloring
+    return None
+
+
+def test_qcol_is_the_lexicographically_first_valid_coloring():
+    """The pruned first-use search returns exactly the first valid coloring
+    of the full q^n scan, for every q up to n on graphs with n <= 5 and for
+    q <= 3 up to n = 7."""
+    rng = random.Random(34)
+    for _ in range(150):
+        n = rng.randrange(0, 8)
+        g = rand_graph(rng, n, rng.uniform(0.2, 0.8))
+        for q in range(1, (n if n <= 5 else 3) + 1):
+            assert oracle_odd_qcol(g, q) == _first_coloring_by_product(g, q), (n, q)
+
+
+def test_qcol_with_many_classes_is_fast():
+    """q = n = 12 no longer scans q^n colorings: on the 10-cycle with a
+    triangle hung on vertex 0 the first valid coloring lies past about 12^10
+    others, and on random 12-vertex graphs q = 12 answers as q = n // 2."""
+    cycle = [(v, (v + 1) % 10) for v in range(10)]
+    g = Graph.from_edges(12, cycle + [(0, 10), (0, 11), (10, 11)])
+    start = time.perf_counter()
+    assert oracle_odd_qcol(g, 12) == (0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 1, 1)
+    rng = random.Random(35)
+    for _ in range(40):
+        g = rand_graph(rng, 12, rng.uniform(0.2, 0.8))
+        by_q = {q: oracle_odd_qcol(g, q) for q in (2, 3, 6, 12)}
+        assert by_q[12] == by_q[6]
+        for q, coloring in by_q.items():
+            assert coloring is None or check_odd_coloring(g, coloring, q)
+    assert time.perf_counter() - start < 10
 
 
 def test_chi_odd_values_and_undefined_cases():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import binary_tree, rand_graph, random_tree
 from oddsolve.graph import Graph, GraphError, gen_family, vertices_of
@@ -176,6 +177,52 @@ def test_parse_tree_errors():
         parse_tree("twig 0 1\nroot 0\n")
     with pytest.raises(TreeFormatError):
         parse_tree("node 0 1 2\nleaf 1 1\nroot 0\n")  # unknown child 2
+
+
+# Lines built from the format's own words and small numbers reach the
+# structural checks far more often than arbitrary text does.
+_TREE_WORDS = st.one_of(st.sampled_from(["leaf", "node", "root", "c", "#"]),
+                        st.integers(-2, 6).map(str), st.text(max_size=3))
+_TREE_LINES = st.lists(st.lists(_TREE_WORDS, max_size=5).map(" ".join),
+                       max_size=8).map("\n".join)
+
+
+@given(st.one_of(st.text(), _TREE_LINES))
+def test_parse_tree_accepts_or_raises_tree_format_error(text):
+    try:
+        t = parse_tree(text)
+    except TreeFormatError:
+        return
+    assert parse_tree(write_tree(t)) == t
+
+
+@st.composite
+def bracketings(draw) -> DecompositionTree:
+    """A random full binary tree over distinct vertices, with arbitrary
+    distinct node ids."""
+    n = draw(st.integers(1, 12))
+    vertices = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    ids = iter(draw(st.lists(st.integers(), min_size=2 * n - 1, max_size=2 * n - 1,
+                             unique=True)))
+    children: dict[int, tuple[int, int]] = {}
+    leaf_vertex: dict[int, int] = {}
+
+    def build(lo: int, hi: int) -> int:
+        node = next(ids)
+        if hi - lo == 1:
+            leaf_vertex[node] = vertices[lo]
+        else:
+            mid = draw(st.integers(lo + 1, hi - 1))
+            children[node] = (build(lo, mid), build(mid, hi))
+        return node
+
+    root = build(0, n)
+    return DecompositionTree(children, leaf_vertex, root)
+
+
+@given(bracketings())
+def test_write_tree_roundtrips_through_parse_tree(t):
+    assert parse_tree(write_tree(t)) == t
 
 
 def test_tree_shape_validation():
