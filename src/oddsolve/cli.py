@@ -6,6 +6,10 @@ followed by human detail lines.  Exit codes: 0 feasible/defined, 2
 infeasible/undefined, 1 error (bad arguments, unreadable files, failed
 certificate checks, out of memory, a closed stdout), reported as one
 `error: ...` line on stderr.
+
+The oracle, poly and gen reduce subcommands import their modules (`oracle`,
+`parity`, `reductions`) on first use, so that `solve`, run once per process,
+loads only the decomposition and DP path.
 """
 from __future__ import annotations
 
@@ -15,8 +19,8 @@ import random
 import sys
 
 from . import certificates as ct
-from . import dp, oracle, parity, rankdec, reductions
-from .graph import FAMILIES, Graph, GraphError, gen_family, parse_graph, vertices_of, write_graph
+from . import dp, rankdec
+from .graph import FAMILIES, Graph, gen_family, parse_graph, vertices_of, write_graph
 
 __all__ = ["main"]
 
@@ -153,6 +157,8 @@ def _cmd_solve(args) -> tuple[int, list[str]]:
 
 
 def _cmd_oracle(args) -> tuple[int, list[str]]:
+    from . import oracle
+
     g = _load_graph(args.graph)
     problem = args.problem
     out: list[str] = []
@@ -201,6 +207,8 @@ def _parse_side(text: str, g: Graph) -> int:
 
 
 def _cmd_poly(args) -> tuple[int, list[str]]:
+    from . import parity
+
     g = _load_graph(args.graph)
     op = args.op
     out: list[str] = []
@@ -294,11 +302,13 @@ def _cmd_gen(args) -> tuple[int, list[str]]:
         g = Graph.from_edges(n, edges)
         out.append(f"seed={args.seed} prob={args.prob}")
     else:  # reduce
+        from . import reductions
+
         if args.kind == "mes":
+            p = reductions.MIN_PROOF_P if args.p is None else args.p
             cnf = reductions.parse_cnf(_read(args.cnf))
-            g, gm, k = reductions.gen_mes_instance(cnf, args.p,
-                                                   allow_small_p=args.allow_small_p)
-            out.append(f"k={k} p={args.p} n={cnf.n_vars}")
+            g, gm, k = reductions.gen_mes_instance(cnf, p, allow_small_p=args.allow_small_p)
+            out.append(f"k={k} p={p} n={cnf.n_vars}")
             if not gm.equivalence_guaranteed:
                 out.append(f"warning: p < {reductions.MIN_PROOF_P}, "
                            "equivalence proof does not apply")
@@ -385,7 +395,7 @@ def _build_parser() -> _Parser:
     reduce_sub = g_reduce.add_subparsers(dest="kind", required=True)
     r_mes = reduce_sub.add_parser("mes")
     r_mes.add_argument("--cnf", required=True)
-    r_mes.add_argument("--p", type=int, default=reductions.MIN_PROOF_P)
+    r_mes.add_argument("--p", type=int)  # default reductions.MIN_PROOF_P, set in _cmd_gen
     r_mes.add_argument("--allow-small-p", action="store_true")
     r_mes.add_argument("--out", metavar="PATH")
     r_mos = reduce_sub.add_parser("mos")
@@ -412,12 +422,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         code, lines = args.fn(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (GraphError, rankdec.TreeFormatError, ct.CertificateError,
-            reductions.CnfFormatError, reductions.ReductionError,
-            oracle.OracleCapError, ValueError) as exc:
+    except (_CliError, ValueError) as exc:
+        # every error class of the package subclasses ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

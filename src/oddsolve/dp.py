@@ -100,6 +100,14 @@ class _NodeCut:
     in its pattern (`singles`) represents itself; a pattern shared by
     several vertices (`twins`) is represented by its lowest vertex.
     `pattern_rows` is filled only at the other nodes.
+
+    The patterns have rank r = `basis.rank` (the cut rank), so `rhs_bit` and
+    `units` need no elimination of their own.  The patterns are the distinct
+    nonzero rows of M = M[A, B-basis vertices].  The r columns of M are the
+    rows of M[B, A] that `CutBasis` chose as a basis, so they are
+    independent; M therefore has row rank r, and its distinct nonzero rows
+    span its row space.  The patterns are eliminated only at a node that is
+    not `units`, where `coordinates` is needed.
     """
 
     __slots__ = ("a", "b", "basis", "rhs_bit", "patterns", "pattern_rows", "zero_mask",
@@ -123,9 +131,8 @@ class _NodeCut:
                 seen |= bit
         self.patterns = patterns
         self.zero_mask = a_mask & ~seen
-        pbasis = row_basis(patterns)
-        self.rhs_bit = 1 << pbasis.rank
-        self.units = pbasis.rank == len(patterns)
+        self.rhs_bit = 1 << basis.rank
+        self.units = len(patterns) == basis.rank
         self.odd_shift = g.n
         self.singles = 0
         self.twins: list[tuple[int, int]] = []  # (vertices with the pattern, lowest one)
@@ -137,6 +144,7 @@ class _NodeCut:
                 else:
                     self.singles |= pmask
         else:
+            pbasis = row_basis(patterns)
             independent = set(pbasis.basis_row_indices)
             # (vertices with this pattern, equation row over y, row is a unit)
             self.pattern_rows = [

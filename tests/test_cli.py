@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -87,6 +88,66 @@ def test_errors_exit_with_1(capsys, c6_file):
     assert code == 1  # argparse failures use the error exit, not 2
     code, _, err = run(capsys, "solve", "mos", "--graph", c6_file, "--threads", "0")
     assert code == 1
+
+
+TOY_CNF = "p cnf 3 3\n1 2 -3 0\n2 3 -1 0\n3 1 -2 0\n"
+
+
+@pytest.mark.parametrize("command, text, needle", [
+    (("oracle", "mos", "--graph"), write_graph(gen_family("path", 25)),
+     "capped at n <= 24"),                                       # OracleCapError
+    (("gen", "reduce", "mes", "--cnf"), "p cnf x\n",
+     "malformed problem line"),                                  # CnfFormatError
+    (("gen", "reduce", "mes", "--cnf"), "p cnf 3 1\n1 2 3 0\n",
+     "not 2in3-SAT_3 shaped"),                                   # ReductionError
+], ids=["oracle-cap", "cnf-format", "cnf-shape"])
+def test_package_errors_exit_1_with_one_line(capsys, tmp_path, command, text, needle):
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and needle in err
+
+
+# Runs the CLI in a fresh interpreter and reports, after each command, which
+# of the modules that only oracle, poly and gen reduce need are loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from oddsolve.cli import SOLVE_PROBLEMS, main
+
+graph, cert, cnf, out = sys.argv[1:]
+lazy = ("oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions")
+
+
+def loaded(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return code, [m for m in lazy if m in sys.modules]
+
+
+report = [loaded("solve", p, "--graph", graph, "--q", "3", "--emit-certificate", cert)
+          for p in SOLVE_PROBLEMS]
+report.append(loaded("poly", "odd2col", "--graph", graph))
+report.append(loaded("oracle", "mos", "--graph", graph))
+report.append(loaded("gen", "reduce", "mes", "--cnf", cnf, "--p", "4", "--allow-small-p",
+                     "--out", out))
+print(json.dumps(report))
+"""
+
+
+def test_solve_imports_only_the_solve_path(p4_file, tmp_path):
+    cnf = tmp_path / "toy.cnf"
+    cnf.write_text(TOY_CNF)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, p4_file, str(tmp_path / "cert.txt"),
+         str(cnf), str(tmp_path / "mes.col")],
+        capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    solves, (poly, orc, gen) = report[:len(SOLVE_PROBLEMS)], report[len(SOLVE_PROBLEMS):]
+    assert solves == [[0, []]] * len(SOLVE_PROBLEMS)
+    assert poly == [0, ["oddsolve.parity"]]
+    assert orc == [0, ["oddsolve.oracle", "oddsolve.parity"]]
+    assert gen == [0, ["oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions"]]
 
 
 def test_threads_env_fallback(capsys, c6_file, monkeypatch):
@@ -248,13 +309,20 @@ def test_gen_family_and_random_roundtrip(capsys, tmp_path):
 
 def test_gen_reduce_pipeline(capsys, tmp_path):
     cnf = tmp_path / "toy.cnf"
-    cnf.write_text("p cnf 3 3\n1 2 -3 0\n2 3 -1 0\n3 1 -2 0\n")
+    cnf.write_text(TOY_CNF)
     out_path = tmp_path / "mes.col"
     code, out, _ = run(capsys, "gen", "reduce", "mes", "--cnf", str(cnf),
                        "--p", "4", "--allow-small-p", "--out", str(out_path))
     assert code == 0
     assert "k=51" in out and "warning" in out
     assert parse_graph(out_path.read_text()).n == 60
+
+    # without --p the smallest p the equivalence proof covers
+    code, out, _ = run(capsys, "gen", "reduce", "mes", "--cnf", str(cnf),
+                       "--out", str(out_path))
+    assert code == 0
+    assert "k=303 p=88 n=3" in out and "warning" not in out
+    assert parse_graph(out_path.read_text()).n == 312
 
     base = tmp_path / "p4.col"
     base.write_text(write_graph(gen_family("path", 4)))

@@ -586,5 +586,9 @@ def test_incremental_cuts_match_from_scratch():
                         zero |= 1 << v
                 assert cut.patterns == patterns
                 assert cut.zero_mask == zero
+                # _NodeCut takes the patterns' rank to be the cut rank
+                # rather than eliminating them
+                assert row_basis(cut.patterns).rank == cut.basis.rank
+                assert cut.units == (len(cut.patterns) == cut.basis.rank)
                 s = a & rng.randrange(1 << g.n)
                 assert cut.basis.a_code(s) == scratch.a_code(s)
