@@ -80,7 +80,21 @@ def write_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> Certificate:
+def parse_certificate(text: str, n: int | None = None) -> Certificate:
+    """Parse a certificate.
+
+    With `n`, the order of the graph it is for, a vertex id above n is an
+    error naming its line, so no id costs more than the graph's size.
+    Without it a `set` id is shifted as given, which suits only a trusted
+    certificate, such as one the solver just wrote."""
+
+    def vertex(tok: str, lineno: int) -> int:
+        u = int(tok)
+        if n is not None and u > n:
+            raise CertificateError(
+                f"line {lineno}: vertex {tok} is outside the graph ({n} vertices)")
+        return u
+
     problem = None
     value = None
     vertex_set = None
@@ -103,19 +117,21 @@ def parse_certificate(text: str) -> Certificate:
                     raise CertificateError(f"line {lineno}: duplicate set line")
                 vertex_set = 0
                 for tok in args:
-                    u = int(tok) - 1
+                    u = vertex(tok, lineno) - 1
                     if u < 0:
                         raise CertificateError(f"line {lineno}: bad vertex {tok}")
                     vertex_set |= 1 << u
             elif kind == "color":
-                u, c = (int(tok) for tok in args)
+                u_tok, c_tok = args
+                u, c = vertex(u_tok, lineno), int(c_tok)
                 if u - 1 in colors:
                     raise CertificateError(f"line {lineno}: vertex {u} colored twice")
                 if u < 1 or c < 1:
                     raise CertificateError(f"line {lineno}: bad color line")
                 colors[u - 1] = c - 1
             elif kind == "orient":
-                u, v = (int(tok) for tok in args)
+                u_tok, v_tok = args
+                u, v = vertex(u_tok, lineno), vertex(v_tok, lineno)
                 if u < 1 or v < 1:
                     raise CertificateError(f"line {lineno}: bad orient line")
                 arcs.append((u - 1, v - 1))
@@ -130,11 +146,11 @@ def parse_certificate(text: str) -> Certificate:
     # a coloring or orientation of the empty graph has no lines at all
     coloring = None
     if colors or problem in _COLOR_PROBLEMS:
-        n = max(colors) + 1 if colors else 0
-        missing = [v for v in range(n) if v not in colors]
-        if missing:
-            raise CertificateError(f"vertex {missing[0] + 1} has no color line")
-        coloring = tuple(colors[v] for v in range(n))
+        # the first uncolored vertex is at most len(colors), whatever the ids
+        first_gap = next(v for v in range(len(colors) + 1) if v not in colors)
+        if colors and first_gap < max(colors):
+            raise CertificateError(f"vertex {first_gap + 1} has no color line")
+        coloring = tuple(colors[v] for v in range(first_gap))
     return Certificate(problem, value,
                        vertex_set=vertex_set,
                        coloring=coloring,

@@ -333,7 +333,7 @@ def _cmd_gen(args) -> tuple[int, list[str]]:
 
 def _cmd_verify(args) -> tuple[int, list[str]]:
     g = _load_graph(args.graph)
-    cert = ct.parse_certificate(_read(args.certificate))
+    cert = ct.parse_certificate(_read(args.certificate), n=g.n)
     if args.problem and args.problem != cert.problem:
         raise _CliError(f"certificate is for {cert.problem!r}, "
                         f"--problem says {args.problem!r}")

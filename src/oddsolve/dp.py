@@ -29,6 +29,12 @@ completion, so each key retains one extremal witness; keys whose completion
 system is unsatisfiable are dropped immediately.  At the root the cut is
 (V, {}), both key parts collapse, and the surviving witness is the answer.
 
+A subset table (mos, mes, ds, tds) is grouped by the first key part:
+``{code: {sig: (S, parities)}}``.  Every entry of a group shares its code,
+so a join lifts each child code to the parent basis once per group, not
+once per entry, and keys the inner dict on the signature alone.  A group is
+never left empty, so a table is empty exactly when it holds no entry.
+
 An odd q-coloring is q odd subsets, one per class, so each class has a
 state (code, signature) as above with the mos defect.  The classes are
 interchangeable, so a q-coloring key is the sorted tuple of its q class
@@ -235,34 +241,58 @@ def _child_map(g: Graph, parent: _NodeCut, child: _NodeCut, sibling_mask: int):
 
 def _leaf_table(cut: _NodeCut, u: int, kind: str):
     defect = _SUBSET_KINDS[kind]
-    table: dict[tuple[int, _Sig], tuple[int, int]] = {}
+    table: dict[int, dict[_Sig, tuple[int, int]]] = {}
     for s in (0, 1 << u):
         d, e = defect(cut.a, s, 0)
         sig = cut.coset_sig(d, e)
         if sig is None:
             continue
-        table[(cut.basis.a_code(s), sig)] = (s, 0)
+        table.setdefault(cut.basis.a_code(s), {})[sig] = (s, 0)
     return table
 
 
 def _join_table(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, kind: str):
+    """Join two subset tables one pair of code groups at a time.
+
+    What depends on codes alone is hoisted out of the pair loop: each x
+    code is lifted once and its crossing vector masked to the y side once;
+    per pair of groups the parent code ``up_x ^ up_y`` and the y crossing
+    vector masked to the x side are computed once, and per y entry its
+    parities are fixed by the x crossing vector once.  The pair loop fixes
+    the x parities, calls `coset_sig` and keeps the better witness under
+    the plain signature in the ``up`` group.  A group that gets no entry is
+    deleted, so a table with no entry is still empty.
+    """
     defect = _SUBSET_KINDS[kind]
     maximize = _MAXIMIZING[kind]
-    table: dict[tuple[int, _Sig], tuple[int, int]] = {}
-    lifted_y = [(*get_y(cy), sy, py) for (cy, _), (sy, py) in ty.items()]
-    for (cx, _), (sx, px) in tx.items():
+    a = cut.a
+    coset_sig = cut.coset_sig
+    table: dict[int, dict[_Sig, tuple[int, int]]] = {}
+    lifted_y = [(*get_y(cy), gy.values()) for cy, gy in ty.items()]
+    for cx, gx in tx.items():
         up_x, cross_x = get_x(cx)
-        for up_y, cross_y, sy, py in lifted_y:
-            s = sx | sy
-            p = (px ^ (cross_y & ax)) | (py ^ (cross_x & ay))
-            d, e = defect(cut.a, s, p)
-            sig = cut.coset_sig(d, e)
-            if sig is None:
-                continue
-            key = (up_x ^ up_y, sig)
-            cur = table.get(key)
-            if cur is None or _better(maximize, s, cur[0]):
-                table[key] = (s, p)
+        cross_xy = cross_x & ay
+        xs = gx.values()
+        for up_y, cross_y, ys in lifted_y:
+            cross_yx = cross_y & ax
+            up = up_x ^ up_y
+            group = table.get(up)
+            if group is None:
+                group = table[up] = {}
+            for sy, py in ys:
+                py ^= cross_xy
+                for sx, px in xs:
+                    s = sx | sy
+                    p = (px ^ cross_yx) | py
+                    d, e = defect(a, s, p)
+                    sig = coset_sig(d, e)
+                    if sig is None:
+                        continue
+                    cur = group.get(sig)
+                    if cur is None or _better(maximize, s, cur[0]):
+                        group[sig] = (s, p)
+            if not group:
+                del table[up]
     return table
 
 
@@ -303,10 +333,11 @@ def _distinct_orders(states: tuple) -> Iterator[list[int]]:
 
 def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
     """One orbit: u's own class state beside q - 1 empty classes."""
-    leaf = _leaf_table(cut, u, "mos")
+    leaf = [((code, sig), w) for code, group in _leaf_table(cut, u, "mos").items()
+            for sig, w in group.items()]
     if len(leaf) < 2:  # u cannot lie in an odd class
         return {}
-    (empty, empty_w), (own, own_w) = leaf.items()
+    (empty, empty_w), (own, own_w) = leaf
     classes = sorted([(own, own_w)] + [(empty, empty_w)] * (q - 1))
     return {tuple(st for st, _ in classes): tuple(w for _, w in classes)}
 
@@ -379,9 +410,10 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
 
 def _extract_subset(root_table, maximize: bool) -> tuple[int, int] | None:
     best = None
-    for _, (s, _) in root_table.items():
-        if best is None or _better(maximize, s, best):
-            best = s
+    for group in root_table.values():
+        for s, _ in group.values():
+            if best is None or _better(maximize, s, best):
+                best = s
     if best is None:
         return None
     return best.bit_count(), best

@@ -3,14 +3,25 @@
 The check_* functions recount degrees from the edge list on purpose: they
 must stay independent of the bitset shortcuts inside the package so that a
 bug there cannot hide itself.
+
+With `CI` set in the environment (GitHub Actions sets it), Hypothesis runs
+derandomized and without a deadline: a fuzz failure then reproduces on the
+next run, and a slow `-X dev` runner cannot fail a test on time alone.
 """
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations, permutations
 
+from hypothesis import settings
+
 from oddsolve.graph import Graph
 from oddsolve.rankdec import DecompositionTree
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def rand_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

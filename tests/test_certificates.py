@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import rand_graph
 from oddsolve import dp
 from oddsolve.certificates import (
+    _ARC_PROBLEMS,
+    _SET_PROBLEMS,
+    PROBLEMS,
     Certificate,
     CertificateError,
     parse_certificate,
@@ -152,3 +157,91 @@ def test_verify_reports_first_offending_vertex():
     assert "order" in detail or "vertex 2" in detail
     ok, detail = verify(g, Certificate("mes", 3, vertex_set=0b111))
     assert not ok and "vertex 1" in detail
+
+
+# A vertex id far beyond any graph: a parser that works in proportion to the
+# largest id (a range over it, or a bitmask with that bit) cannot finish.
+_HUGE = 10**12
+
+
+def test_vertex_ids_above_the_graph_order_are_rejected_by_line():
+    start = time.perf_counter()
+    for text, line in ((f"problem mos\nvalue 1\nset 2 {_HUGE}\n", 3),
+                       (f"problem chi-odd\nvalue 1\ncolor 1 1\ncolor {_HUGE} 1\n", 4),
+                       (f"problem odd-orient\nvalue 1\norient {_HUGE} 1\n", 3),
+                       (f"problem odd-orient\nvalue 1\norient 1 {_HUGE}\n", 3),
+                       ("problem mos\nvalue 1\nset 7\n", 3)):
+        with pytest.raises(CertificateError, match=f"line {line}: vertex .* outside the graph"):
+            parse_certificate(text, n=6)
+    assert time.perf_counter() - start < 1
+    # ids up to n still parse, and without n nothing is checked against it
+    assert parse_certificate("problem mos\nvalue 1\nset 6\n", n=6).vertex_set == 1 << 5
+    assert parse_certificate("problem mos\nvalue 1\nset 7\n").vertex_set == 1 << 6
+
+
+def test_first_uncolored_vertex_is_found_without_scanning_to_the_largest_id():
+    start = time.perf_counter()
+    with pytest.raises(CertificateError, match="vertex 1 has no color line"):
+        parse_certificate(f"problem chi-odd\nvalue 1\ncolor {_HUGE} 1\n")
+    with pytest.raises(CertificateError, match="vertex 3 has no color line"):
+        parse_certificate(f"problem chi-odd\nvalue 1\ncolor 2 1\ncolor 1 1\ncolor {_HUGE} 1\n")
+    assert time.perf_counter() - start < 1
+    cert = parse_certificate("problem chi-odd\nvalue 2\ncolor 3 2\ncolor 1 1\ncolor 2 1\n")
+    assert cert.coloring == (0, 0, 1)
+
+
+# Lines built from the format's own words and small numbers reach the
+# payload checks far more often than arbitrary text does.
+_CERT_WORDS = st.one_of(st.sampled_from(["problem", "value", "set", "color", "orient", "c"]),
+                        st.sampled_from(PROBLEMS), st.integers(-2, 8).map(str),
+                        st.text(max_size=3))
+_CERT_LINES = st.lists(st.lists(_CERT_WORDS, max_size=5).map(" ".join),
+                       max_size=8).map("\n".join)
+
+
+def _parses_or_raises(text: str, n: int | None) -> None:
+    try:
+        cert = parse_certificate(text, n)
+    except CertificateError:
+        return
+    assert parse_certificate(write_certificate(cert)) == cert
+
+
+@given(st.one_of(st.text(), _CERT_LINES), st.one_of(st.none(), st.integers(0, 10)))
+def test_parse_certificate_accepts_or_raises_certificate_error(text, n):
+    _parses_or_raises(text, n)
+
+
+# Ids of any size, against a graph order: `oddsolve verify` passes the order,
+# so an id above it is refused before it is used.  Without the order a `set`
+# id is shifted as given, which is the trusted reading of a solver's own
+# certificate.
+_HOSTILE_LINES = st.lists(
+    st.lists(st.one_of(st.sampled_from(["problem", "value", "set", "color", "orient"]),
+                       st.sampled_from(PROBLEMS), st.integers().map(str)),
+             max_size=5).map(" ".join),
+    max_size=8).map("\n".join)
+
+
+@given(_HOSTILE_LINES, st.integers(0, 10))
+def test_parse_certificate_bounds_hostile_ids_by_the_graph_order(text, n):
+    _parses_or_raises(text, n)
+
+
+@st.composite
+def certificates(draw) -> Certificate:
+    problem = draw(st.sampled_from(PROBLEMS))
+    value = draw(st.integers())
+    if problem in _ARC_PROBLEMS:
+        arcs = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=8))
+        return Certificate(problem, value, arcs=tuple(arcs))
+    if problem in _SET_PROBLEMS:
+        vertices = draw(st.frozensets(st.integers(0, 200), max_size=12))
+        return Certificate(problem, value, vertex_set=sum(1 << v for v in vertices))
+    coloring = draw(st.lists(st.integers(0, 2**40), max_size=12))
+    return Certificate(problem, value, coloring=tuple(coloring))
+
+
+@given(certificates())
+def test_write_certificate_roundtrips_through_parse_certificate(cert):
+    assert parse_certificate(write_certificate(cert)) == cert

@@ -266,6 +266,19 @@ def test_verify_problem_mismatch(capsys, c6_file, tmp_path):
     assert code == 1 and "mes" in err
 
 
+def test_verify_refuses_vertex_ids_beyond_the_graph(capsys, c6_file, tmp_path):
+    """A certificate naming vertex 10^12 fails at once with the line, not
+    after building a 10^12-bit set or scanning 10^12 ids."""
+    cert = tmp_path / "hostile.cert"
+    for body, line in (("problem mos\nvalue 1\nset 1 1000000000000\n", 3),
+                       ("problem chi-odd\nvalue 1\ncolor 1000000000000 1\n", 3),
+                       ("problem mos\nvalue 1\nset 7\n", 3)):
+        cert.write_text(body)
+        code, out, err = run(capsys, "verify", "--graph", c6_file, "--certificate", str(cert))
+        assert code == 1 and out == ""
+        assert f"error: line {line}: vertex" in err and "outside the graph (6 vertices)" in err
+
+
 def test_oracle_subcommand_agrees_with_solve(capsys, c6_file):
     _, solve_out, _ = run(capsys, "solve", "mes", "--graph", c6_file)
     _, oracle_out, _ = run(capsys, "oracle", "mes", "--graph", c6_file)

@@ -245,6 +245,14 @@ def test_reduced_rows_are_canonical_over_solution_sets():
             seen[sols] = sig
 
 
+def _subset_entries(tab):
+    """(code, sig, (s, p)) for every entry of a subset table, whose entries
+    are grouped by code as {code: {sig: (s, p)}}."""
+    for code, group in tab.items():
+        for sig, val in group.items():
+            yield code, sig, val
+
+
 def _outside_patterns(g: Graph, cut) -> dict[int, int]:
     """Each A-vertex's neighborhood over the cut's B basis, from scratch."""
     profiles = [g.adj[w] & cut.a for w in cut.basis.b_basis_vertices]
@@ -294,10 +302,11 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                 dependent = set(distinct) - {distinct[k] for k in earliest}
                 assert cut.units == (not dependent)
                 pairs = []
-                for _, val in tab.items():
-                    if kind == "qcol":
+                if kind == "qcol":
+                    for val in tab.values():
                         pairs += [(s, s & ~p) for s, p in val]
-                    else:
+                else:
+                    for _, _, val in _subset_entries(tab):
                         pairs.append(_SUBSET_KINDS[kind](a, *val))
                 for _ in range(20):
                     d = a & rng.randrange(1 << g.n)
@@ -369,7 +378,7 @@ def test_mask_signatures_are_canonical_on_twin_classes():
                     if pv:
                         by_pattern[pv] = by_pattern.get(pv, 0) | 1 << v
                 twins = [pmask for pmask in by_pattern.values() if pmask & (pmask - 1)]
-                pairs = [(s, s & ~p) for s, p in tab.values()]
+                pairs = [(s, s & ~p) for _, _, (s, p) in _subset_entries(tab)]
                 for _ in range(30):
                     d = cut.a & rng.randrange(1 << g.n)
                     pairs.append((d, d & rng.randrange(1 << g.n)))
@@ -407,7 +416,7 @@ def test_table_entries_are_internally_consistent():
             _run(g, t, kind, collect=collect)
             defect = _SUBSET_KINDS[kind]
             for cut, tab in collect.values():
-                for (code, sig), (s, p) in tab.items():
+                for code, sig, (s, p) in _subset_entries(tab):
                     assert s & ~cut.a == 0
                     p_re = 0
                     for v in vertices_of(cut.a):
@@ -417,6 +426,36 @@ def test_table_entries_are_internally_consistent():
                     assert code == cut.basis.a_code(s)
                     d, e = defect(cut.a, s, p)
                     assert sig == cut.coset_sig(d, e)
+
+
+def test_subset_tables_hold_no_empty_group():
+    """A subset table never keeps a code group without entries, so `_run`
+    returns {} exactly when some node's table holds no entry (and stops at
+    that node), and otherwise reaches the root with every node collected.
+    odd-tds on a graph with an isolated vertex empties a table."""
+    rng = random.Random(66)
+    shape_rng = random.Random(660)
+    graphs = [rand_graph(rng, rng.randrange(1, 10), rng.uniform(0.1, 0.7)) for _ in range(12)]
+    graphs.append(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]))  # vertex 4 is isolated
+    outcomes = {"empty": 0, "root": 0}
+    for g in graphs:
+        for t in tree_suite(g, rng, shape_rng):
+            for kind in ("mos", "mes", "ds", "tds"):
+                collect: dict = {}
+                root = _run(g, t, kind, collect=collect)
+                for _, tab in collect.values():
+                    assert all(tab.values()), kind
+                emptied = [node for node, (_, tab) in collect.items()
+                           if not any(tab.values())]
+                assert (root == {}) == bool(emptied), kind
+                if emptied:
+                    assert emptied == [list(collect)[-1]]
+                    outcomes["empty"] += 1
+                else:
+                    assert len(collect) == len(t.postorder())
+                    assert root is collect[t.root][1]
+                    outcomes["root"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def _class_state(g: Graph, cut, s: int):
@@ -534,7 +573,7 @@ def test_root_survivors_have_no_outstanding_defects():
         collect: dict = {}
         tab = _run(g, t, "mos", collect=collect)
         root_cut, _ = collect[t.root]
-        for (code, sig), (s, p) in tab.items():
+        for code, sig, (s, p) in _subset_entries(tab):
             # rank-0 cut at the root: no code, and the empty completion system
             assert code == 0 and sig == root_cut.coset_sig(0, 0)
             assert check_odd_set(g, s)

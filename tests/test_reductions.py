@@ -4,6 +4,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import check_even_set, check_odd_coloring, check_odd_set, rand_graph
 from oddsolve import dp
@@ -67,6 +68,30 @@ def test_parse_cnf_errors():
         parse_cnf("p cnf 3 1\n1 2 0\n")  # strict mode wants 3 literals
     loose = parse_cnf("p cnf 3 1\n1 2 0\n", strict=False)
     assert loose.clauses == ((1, 2),)
+
+
+# Lines built from DIMACS's own words and small literals reach the clause
+# and range checks far more often than arbitrary text does.
+_CNF_WORDS = st.one_of(st.sampled_from(["p", "cnf", "c", "%", "0"]),
+                       st.integers(-4, 4).map(str), st.integers().map(str),
+                       st.text(max_size=3))
+_CNF_LINES = st.lists(st.lists(_CNF_WORDS, max_size=6).map(" ".join),
+                      max_size=8).map("\n".join)
+
+
+@given(st.one_of(st.text(), _CNF_LINES), st.booleans())
+def test_parse_cnf_accepts_or_raises_cnf_format_error(text, strict):
+    try:
+        cnf = parse_cnf(text, strict=strict)
+    except CnfFormatError:
+        return
+    assert all(cl and all(1 <= abs(lit) <= cnf.n_vars for lit in cl) for cl in cnf.clauses)
+    if strict:
+        assert all(len(cl) == 3 for cl in cnf.clauses)
+    # the same formula written back as DIMACS parses to itself
+    dimacs = f"p cnf {cnf.n_vars} {cnf.n_clauses}\n" + "".join(
+        " ".join(map(str, cl)) + " 0\n" for cl in cnf.clauses)
+    assert parse_cnf(dimacs, strict=strict) == cnf
 
 
 def test_cnf_shape_violations():
