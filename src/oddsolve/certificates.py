@@ -22,8 +22,7 @@ File format (vertices and classes 1-indexed, `c` lines are comments):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._frozen import Frozen
 from .graph import Graph, vertices_of
 
 __all__ = [
@@ -47,17 +46,24 @@ class CertificateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """One checkable claim: problem tag, claimed value, payload."""
 
+    __slots__ = ("problem", "value", "vertex_set", "coloring", "arcs")
     problem: str
     value: int
-    vertex_set: int | None = None
-    coloring: tuple[int, ...] | None = None
-    arcs: tuple[tuple[int, int], ...] | None = None
+    vertex_set: int | None
+    coloring: tuple[int, ...] | None
+    arcs: tuple[tuple[int, int], ...] | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, problem: str, value: int, vertex_set: int | None = None,
+                 coloring: tuple[int, ...] | None = None,
+                 arcs: tuple[tuple[int, int], ...] | None = None) -> None:
+        object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "vertex_set", vertex_set)
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "arcs", arcs)
         if self.problem not in PROBLEMS:
             raise CertificateError(f"unknown problem tag {self.problem!r}")
         want_set = self.problem in _SET_PROBLEMS

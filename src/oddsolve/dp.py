@@ -24,6 +24,14 @@ per pattern: selected representatives in the low n bits, those asking for
 odd outside degree above them.  Keys are only compared within one node, so
 the two encodings never meet.
 
+Each cut builds its signature function once, from its own constants: a
+loop-free one when every pattern has a single vertex, one that also checks
+the twin classes, or the reduced-rows one.  A partial solution's defect
+(which vertices constrain the completion, and which need odd outside
+degree) is two masks formed from three constants per problem and node, so
+the join makes one call per pair of entries, to the cut's signature
+function.
+
 Two partial solutions with equal keys are interchangeable in every
 completion, so each key retains one extremal witness; keys whose completion
 system is unsatisfiable are dropped immediately.  At the root the cut is
@@ -60,13 +68,21 @@ __all__ = [
     "solve_odd_tds",
 ]
 
-# (D, E) of a partial solution: vertices of D still constrain the completion,
-# those in E need odd outside degree, the rest of D need even outside degree.
+# (D, E) of a partial solution S with parity mask P at a node over A:
+# vertices of D still constrain the completion, those in E need odd outside
+# degree, the rest of D need even outside degree.  Every kind is
+#     D = (S & keep) ^ set,  E = D & (P ^ flip)
+# with each of keep, set, flip one of -1 (every vertex), 0 or A:
+#     mos  (-1, 0, -1)  D = S         E = S & ~P
+#     mes  (-1, 0,  0)  D = S         E = S & P
+#     ds   ( A, A, -1)  D = A & ~S    E = A & ~S & ~P
+#     tds  ( 0, A, -1)  D = A         E = A & ~P
+# (S lies inside A).  The entry maps A to (keep, set, flip).
 _SUBSET_KINDS = {
-    "mos": lambda a, s, p: (s, s & ~p),
-    "mes": lambda a, s, p: (s, s & p),
-    "ds": lambda a, s, p: (a & ~s, a & ~s & ~p),
-    "tds": lambda a, s, p: (a, a & ~p),
+    "mos": lambda a: (-1, 0, -1),
+    "mes": lambda a: (-1, 0, 0),
+    "ds": lambda a: (a, a, -1),
+    "tds": lambda a: (0, a, -1),
 }
 _MAXIMIZING = {"mos": True, "mes": True, "ds": False, "tds": False}
 
@@ -100,24 +116,31 @@ class _NodeCut:
     coordinate y_i and y ranges over all of GF(2)^r.  A system that passes
     the parity checks is then satisfiable, its completion set is fixed by
     which patterns it selects and the right-hand side of each, and distinct
-    choices give distinct sets.  So `coset_sig` returns ``sel | odd << n``:
+    choices give distinct sets.  So the signature is ``sel | odd << n``:
     sel holds one representative vertex per selected pattern, odd the
     representatives of those asking for odd outside degree.  A vertex alone
-    in its pattern (`singles`) represents itself; a pattern shared by
-    several vertices (`twins`) is represented by its lowest vertex.
-    `pattern_rows` is filled only at the other nodes.
+    in its pattern (a single) represents itself; a pattern shared by
+    several vertices (a twin class) is represented by its lowest vertex.
 
-    The patterns have rank r = `basis.rank` (the cut rank), so `rhs_bit` and
-    `units` need no elimination of their own.  The patterns are the distinct
-    nonzero rows of M = M[A, B-basis vertices].  The r columns of M are the
-    rows of M[B, A] that `CutBasis` chose as a basis, so they are
-    independent; M therefore has row rank r, and its distinct nonzero rows
-    span its row space.  The patterns are eliminated only at a node that is
-    not `units`, where `coordinates` is needed.
+    `coset_sig(d, e)` is the signature of {completion codes fixing (d, e)},
+    or None if that set is empty.  It is one function per cut, built once
+    from the cut's constants by one of `_mask_sig_twin_free`,
+    `_mask_sig_with_twins` (the two `units` cases) or `_rows_sig`, so a
+    join pays one call per pair of entries and no attribute lookups.  The
+    function holds copies of the constants, not the cut, so a cut is not
+    part of a reference cycle.
+
+    The patterns have rank r = `basis.rank` (the cut rank), so the
+    right-hand-side bit ``1 << r`` and `units` need no elimination of their
+    own.  The patterns are the distinct nonzero rows of M = M[A, B-basis
+    vertices].  The r columns of M are the rows of M[B, A] that `CutBasis`
+    chose as a basis, so they are independent; M therefore has row rank r,
+    and its distinct nonzero rows span its row space.  The patterns are
+    eliminated only at a node that is not `units`, where `coordinates` is
+    needed.
     """
 
-    __slots__ = ("a", "b", "basis", "rhs_bit", "patterns", "pattern_rows", "zero_mask",
-                 "units", "singles", "twins", "odd_shift")
+    __slots__ = ("a", "b", "basis", "patterns", "zero_mask", "units", "coset_sig")
 
     def __init__(self, g: Graph, a_mask: int, boundary: tuple[int, int]) -> None:
         self.a = a_mask
@@ -136,59 +159,85 @@ class _NodeCut:
                 patterns[pat] = patterns.get(pat, 0) | bit
                 seen |= bit
         self.patterns = patterns
-        self.zero_mask = a_mask & ~seen
-        self.rhs_bit = 1 << basis.rank
+        self.zero_mask = zero_mask = a_mask & ~seen
         self.units = len(patterns) == basis.rank
-        self.odd_shift = g.n
-        self.singles = 0
-        self.twins: list[tuple[int, int]] = []  # (vertices with the pattern, lowest one)
-        self.pattern_rows: list[tuple[int, int, bool]] = []
         if self.units:
+            singles = 0
+            twins: list[tuple[int, int]] = []  # (vertices with the pattern, lowest one)
             for pmask in patterns.values():
                 if pmask & (pmask - 1):
-                    self.twins.append((pmask, pmask & -pmask))
+                    twins.append((pmask, pmask & -pmask))
                 else:
-                    self.singles |= pmask
+                    singles |= pmask
+            if twins:
+                self.coset_sig = _mask_sig_with_twins(zero_mask, singles, tuple(twins), g.n)
+            else:
+                self.coset_sig = _mask_sig_twin_free(zero_mask, singles, g.n)
         else:
             pbasis = row_basis(patterns)
             independent = set(pbasis.basis_row_indices)
             # (vertices with this pattern, equation row over y, row is a unit)
-            self.pattern_rows = [
+            pattern_rows = tuple(
                 (pmask, pbasis.coordinates(pat), i in independent)
                 for i, (pat, pmask) in enumerate(patterns.items())
-            ]
+            )
+            self.coset_sig = _rows_sig(zero_mask, pattern_rows, 1 << basis.rank)
 
-    def coset_sig(self, d: int, e: int) -> _Sig | None:
-        """Signature of {completion codes fixing (d, e)}, or None if empty.
 
-        `e` must lie inside `d`.  A vertex in e with no outside basis
-        neighborhood can never be fixed; vertices sharing a pattern must
-        agree on the required parity.  When every pattern is independent the
-        signature is the int ``sel | odd << n`` over one vertex per pattern;
-        otherwise unit rows arrive in increasing pivot order and are already
-        reduced, so elimination runs only when a dependent pattern is
-        selected.
-        """
-        if e & self.zero_mask:
+# The three signature functions of `_NodeCut`.  Each takes (d, e) with e
+# inside d and d inside A.  A vertex in e with no outside basis neighborhood
+# (in `zero_mask`) can never be fixed, and vertices sharing a pattern must
+# agree on the required parity; either failure gives None.
+
+def _mask_sig_twin_free(zero_mask: int, singles: int, n: int):
+    """Every pattern has one vertex, so sel = d & singles, and odd = e once
+    e has passed the zero check (A is `zero_mask` plus `singles`)."""
+
+    def coset_sig(d: int, e: int) -> _Sig | None:
+        if e & zero_mask:
             return None
-        if self.units:
-            singles = self.singles
-            sel = d & singles
-            odd = e & singles
-            for pmask, low in self.twins:
-                dm = d & pmask
-                if dm:
-                    em = e & dm
-                    if em:
-                        if em != dm:
-                            return None
-                        odd |= low
-                    sel |= low
-            return sel | odd << self.odd_shift
-        rhs_bit = self.rhs_bit
+        return d & singles | e << n
+
+    return coset_sig
+
+
+def _mask_sig_with_twins(zero_mask: int, singles: int, twins: tuple[tuple[int, int], ...],
+                         n: int):
+    """Some pattern has several vertices: each selected twin class must be
+    all odd or all even, and enters through its lowest vertex."""
+
+    def coset_sig(d: int, e: int) -> _Sig | None:
+        if e & zero_mask:
+            return None
+        sel = d & singles
+        odd = e & singles
+        for pmask, low in twins:
+            dm = d & pmask
+            if dm:
+                em = e & dm
+                if em:
+                    if em != dm:
+                        return None
+                    odd |= low
+                sel |= low
+        return sel | odd << n
+
+    return coset_sig
+
+
+def _rows_sig(zero_mask: int, pattern_rows: tuple[tuple[int, int, bool], ...], rhs_bit: int):
+    """Some pattern is dependent: the reduced rows of the system over y.
+
+    Unit rows arrive in increasing pivot order and are already reduced, so
+    elimination runs only when a dependent pattern is selected.
+    """
+
+    def coset_sig(d: int, e: int) -> _Sig | None:
+        if e & zero_mask:
+            return None
         rows: list[int] = []
         units_only = True
-        for pmask, yrow, is_unit in self.pattern_rows:
+        for pmask, yrow, is_unit in pattern_rows:
             dm = d & pmask
             if not dm:
                 continue
@@ -208,6 +257,8 @@ class _NodeCut:
         if sig and sig[-1] == rhs_bit:
             return None
         return sig
+
+    return coset_sig
 
 
 def _child_map(g: Graph, parent: _NodeCut, child: _NodeCut, sibling_mask: int):
@@ -240,11 +291,11 @@ def _child_map(g: Graph, parent: _NodeCut, child: _NodeCut, sibling_mask: int):
 
 
 def _leaf_table(cut: _NodeCut, u: int, kind: str):
-    defect = _SUBSET_KINDS[kind]
+    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     table: dict[int, dict[_Sig, tuple[int, int]]] = {}
     for s in (0, 1 << u):
-        d, e = defect(cut.a, s, 0)
-        sig = cut.coset_sig(d, e)
+        d = (s & keep) ^ set_
+        sig = cut.coset_sig(d, d & flip)  # parities P = 0
         if sig is None:
             continue
         table.setdefault(cut.basis.a_code(s), {})[sig] = (s, 0)
@@ -259,13 +310,15 @@ def _join_table(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, kind: str
     per pair of groups the parent code ``up_x ^ up_y`` and the y crossing
     vector masked to the x side are computed once, and per y entry its
     parities are fixed by the x crossing vector once.  The pair loop fixes
-    the x parities, calls `coset_sig` and keeps the better witness under
-    the plain signature in the ``up`` group.  A group that gets no entry is
-    deleted, so a table with no entry is still empty.
+    the x parities, forms (D, E) from the kind's (keep, set, flip)
+    constants, makes its one call, to the cut's `coset_sig`, and keeps the
+    better witness under the plain signature in the ``up`` group: more
+    vertices when maximizing, fewer when not, then the lexicographically
+    least (`_better`, written out).  A group that gets no entry is deleted,
+    so a table with no entry is still empty.
     """
-    defect = _SUBSET_KINDS[kind]
+    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     maximize = _MAXIMIZING[kind]
-    a = cut.a
     coset_sig = cut.coset_sig
     table: dict[int, dict[_Sig, tuple[int, int]]] = {}
     lifted_y = [(*get_y(cy), gy.values()) for cy, gy in ty.items()]
@@ -284,13 +337,21 @@ def _join_table(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, kind: str
                 for sx, px in xs:
                     s = sx | sy
                     p = (px ^ cross_yx) | py
-                    d, e = defect(a, s, p)
-                    sig = coset_sig(d, e)
+                    d = (s & keep) ^ set_
+                    sig = coset_sig(d, d & (p ^ flip))
                     if sig is None:
                         continue
                     cur = group.get(sig)
-                    if cur is None or _better(maximize, s, cur[0]):
-                        group[sig] = (s, p)
+                    if cur is not None:
+                        old = cur[0]
+                        nc, oc = s.bit_count(), old.bit_count()
+                        if nc == oc:
+                            diff = s ^ old
+                            if not s & diff & -diff:  # old holds the lowest differing vertex
+                                continue
+                        elif (nc > oc) != maximize:
+                            continue
+                    group[sig] = (s, p)
             if not group:
                 del table[up]
     return table
@@ -348,6 +409,7 @@ def _join_table_qcol(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, q: i
     covers every matching of x classes to y classes.  The arrangements are
     generated one at a time, so a join holds no more than its two tables
     even when a y key has q!/(m_1!···m_k!) of them."""
+    coset_sig = cut.coset_sig
     table: dict[tuple, tuple] = {}
     lifted_xs = [[(*get_x(c), sx, px) for (c, _), (sx, px) in zip(keyx, valx)]
                  for keyx, valx in tx.items()]
@@ -363,7 +425,7 @@ def _join_table_qcol(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, q: i
                     up_y, cross_y, sy, py = lifted_y[i]
                     s = sx | sy
                     p = (px ^ (cross_y & ax)) | (py ^ (cross_x & ay))
-                    sig = cut.coset_sig(s, s & ~p)
+                    sig = coset_sig(s, s & ~p)
                     if sig is None:
                         break
                     states.append((up_x ^ up_y, sig))

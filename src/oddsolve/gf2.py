@@ -9,8 +9,9 @@ columns of a system.  `rank_of` is a rank-only loop kept for speed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+from ._frozen import Frozen
 
 __all__ = [
     "RowBasis",
@@ -20,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RowBasis:
+class RowBasis(Frozen):
     """Earliest row basis of a row sequence, with coordinates over it.
 
     ``basis_row_indices`` are the earliest input rows forming a row basis;
@@ -30,9 +30,14 @@ class RowBasis:
     only, so they are the unique reduced echelon form of the row space.
     """
 
+    __slots__ = ("basis_row_indices", "_elems")
     basis_row_indices: tuple[int, ...]
     # (pivot bit, reduced row, combination over basis positions), in insertion order
-    _elems: tuple[list[int], ...] = field(repr=False)
+    _elems: tuple[list[int], ...]
+
+    def __init__(self, basis_row_indices: tuple[int, ...], _elems: tuple[list[int], ...]) -> None:
+        object.__setattr__(self, "basis_row_indices", basis_row_indices)
+        object.__setattr__(self, "_elems", _elems)
 
     @property
     def rank(self) -> int:

@@ -8,8 +8,9 @@ memory is 0-indexed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from ._frozen import Frozen
 
 __all__ = [
     "Graph",
@@ -71,13 +72,18 @@ def mask_lex_less(a: int, b: int) -> bool:
     return bool(a & low)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Immutable simple graph: vertex count, adjacency bitmask per vertex."""
 
+    __slots__ = ("n", "adj", "m")
     n: int
     adj: tuple[int, ...]
     m: int
+
+    def __init__(self, n: int, adj: tuple[int, ...], m: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],

@@ -8,9 +8,9 @@ the bipartite adjacency matrix across any of these cuts.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Iterator
 
+from ._frozen import Frozen
 from .gf2 import rank_of, row_basis
 from .graph import Graph, GraphError, vertices_of
 
@@ -35,15 +35,19 @@ class TreeFormatError(ValueError):
     """Malformed decomposition-tree document or invalid tree structure."""
 
 
-@dataclass(frozen=True, eq=True)
-class DecompositionTree:
+class DecompositionTree(Frozen):
     """Rooted full binary tree; leaves carry graph vertices."""
 
-    children: dict[int, tuple[int, int]] = field(default_factory=dict)
-    leaf_vertex: dict[int, int] = field(default_factory=dict)
-    root: int = 0
+    __slots__ = ("children", "leaf_vertex", "root")
+    children: dict[int, tuple[int, int]]
+    leaf_vertex: dict[int, int]
+    root: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, children: dict[int, tuple[int, int]] | None = None,
+                 leaf_vertex: dict[int, int] | None = None, root: int = 0) -> None:
+        object.__setattr__(self, "children", {} if children is None else children)
+        object.__setattr__(self, "leaf_vertex", {} if leaf_vertex is None else leaf_vertex)
+        object.__setattr__(self, "root", root)
         dup = self.children.keys() & self.leaf_vertex.keys()
         if dup:
             raise TreeFormatError(f"node ids both internal and leaf: {sorted(dup)}")

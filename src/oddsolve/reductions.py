@@ -71,17 +71,27 @@ class Cnf23:
         """Why this formula is not a valid 2in3-SAT_3 instance (empty = valid).
 
         Required shape: every clause has three distinct variables, every
-        variable occurs in exactly three clauses, and hence n = m.
+        variable occurs in exactly three clauses, and hence n = m.  The work
+        and the report grow with the clauses, not with the declared variable
+        count: a variable that occurs a wrong number of times is named, and
+        the declared variables that never occur are counted in one line.
         """
         problems = []
+        counts: dict[int, int] = {}
         for j, clause in enumerate(self.clauses):
             if len(clause) != 3:
                 problems.append(f"clause {j + 1} has {len(clause)} literals, want 3")
             elif len({abs(lit) for lit in clause}) != 3:
                 problems.append(f"clause {j + 1} repeats a variable")
-        for v, count in enumerate(self.occurrence_counts(), start=1):
-            if count != 3:
-                problems.append(f"variable {v} occurs {count} times, want 3")
+            for lit in clause:
+                v = abs(lit)
+                counts[v] = counts.get(v, 0) + 1
+        for v in sorted(counts):
+            if counts[v] != 3:
+                problems.append(f"variable {v} occurs {counts[v]} times, want 3")
+        absent = self.n_vars - len(counts)
+        if absent:
+            problems.append(f"{absent} declared variables never occur, want 3 occurrences each")
         if self.n_vars != self.n_clauses:
             problems.append(
                 f"{self.n_vars} variables vs {self.n_clauses} clauses, want equal")
@@ -107,6 +117,8 @@ def parse_cnf(text: str, strict: bool = True) -> Cnf23:
                 n_vars, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise CnfFormatError(f"line {lineno}: non-integer problem line") from None
+            if n_vars < 0 or declared_clauses < 0:
+                raise CnfFormatError(f"line {lineno}: negative count in problem line {line!r}")
             continue
         if n_vars is None:
             raise CnfFormatError(f"line {lineno}: clause before problem line")

@@ -100,7 +100,11 @@ TOY_CNF = "p cnf 3 3\n1 2 -3 0\n2 3 -1 0\n3 1 -2 0\n"
      "malformed problem line"),                                  # CnfFormatError
     (("gen", "reduce", "mes", "--cnf"), "p cnf 3 1\n1 2 3 0\n",
      "not 2in3-SAT_3 shaped"),                                   # ReductionError
-], ids=["oracle-cap", "cnf-format", "cnf-shape"])
+    (("gen", "reduce", "mes", "--cnf"), "p cnf 100000000 1\n1 2 3 0\n",
+     "99999997 declared variables never occur"),                 # ReductionError
+    (("gen", "reduce", "mes", "--cnf"), "p cnf -3 0\n",
+     "negative count"),                                          # CnfFormatError
+], ids=["oracle-cap", "cnf-format", "cnf-shape", "cnf-declared-count", "cnf-negative"])
 def test_package_errors_exit_1_with_one_line(capsys, tmp_path, command, text, needle):
     path = tmp_path / "input"
     path.write_text(text)
@@ -116,7 +120,7 @@ import contextlib, io, json, sys
 from oddsolve.cli import SOLVE_PROBLEMS, main
 
 graph, cert, cnf, out = sys.argv[1:]
-lazy = ("oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions")
+lazy = ("oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions", "dataclasses", "inspect")
 
 
 def loaded(*argv):
@@ -145,9 +149,11 @@ def test_solve_imports_only_the_solve_path(p4_file, tmp_path):
     report = json.loads(proc.stdout)
     solves, (poly, orc, gen) = report[:len(SOLVE_PROBLEMS)], report[len(SOLVE_PROBLEMS):]
     assert solves == [[0, []]] * len(SOLVE_PROBLEMS)
-    assert poly == [0, ["oddsolve.parity"]]
-    assert orc == [0, ["oddsolve.oracle", "oddsolve.parity"]]
-    assert gen == [0, ["oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions"]]
+    # `dataclasses` (and `inspect`, which it imports) arrive with `parity`
+    assert poly == [0, ["oddsolve.parity", "dataclasses", "inspect"]]
+    assert orc == [0, ["oddsolve.oracle", "oddsolve.parity", "dataclasses", "inspect"]]
+    assert gen == [0, ["oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions",
+                       "dataclasses", "inspect"]]
 
 
 def test_threads_env_fallback(capsys, c6_file, monkeypatch):

@@ -219,6 +219,103 @@ def test_disconnected_graphs():
 
 # ------------------------------------------------------------- internals
 
+def _defect(kind: str, a: int, s: int, p: int) -> tuple[int, int]:
+    """(D, E) of the partial solution (s, p) at a node over a."""
+    keep, set_, flip = _SUBSET_KINDS[kind](a)
+    d = (s & keep) ^ set_
+    return d, d & (p ^ flip)
+
+
+# (D, E) as each kind defines it, written out per kind.
+_LAMBDA_DEFECTS = {
+    "mos": lambda a, s, p: (s, s & ~p),
+    "mes": lambda a, s, p: (s, s & p),
+    "ds": lambda a, s, p: (a & ~s, a & ~s & ~p),
+    "tds": lambda a, s, p: (a, a & ~p),
+}
+
+
+def test_defect_constants_match_their_definitions():
+    """(keep, set, flip) give the (D, E) each kind defines, for every
+    s, p <= a with |a| <= 5."""
+    assert set(_SUBSET_KINDS) == set(_LAMBDA_DEFECTS)
+    for a in range(1 << 6):
+        if a.bit_count() > 5:
+            continue
+        subsets = [x for x in range(a + 1) if x & ~a == 0]
+        for kind, want in _LAMBDA_DEFECTS.items():
+            for s, p in product(subsets, repeat=2):
+                assert _defect(kind, a, s, p) == want(a, s, p), (kind, a, s, p)
+
+
+# The subset join as it was written before the per-cut signature functions
+# and the (keep, set, flip) constants: one defect lambda, one `coset_sig`
+# call and one `_better` call per pair.
+def _reference_join(cut, get_x, get_y, tx, ty, ax, ay, kind):
+    defect = _LAMBDA_DEFECTS[kind]
+    maximize = dp._MAXIMIZING[kind]
+    a = cut.a
+    table: dict = {}
+    lifted_y = [(*get_y(cy), gy.values()) for cy, gy in ty.items()]
+    for cx, gx in tx.items():
+        up_x, cross_x = get_x(cx)
+        cross_xy = cross_x & ay
+        xs = gx.values()
+        for up_y, cross_y, ys in lifted_y:
+            cross_yx = cross_y & ax
+            up = up_x ^ up_y
+            group = table.get(up)
+            if group is None:
+                group = table[up] = {}
+            for sy, py in ys:
+                py ^= cross_xy
+                for sx, px in xs:
+                    s = sx | sy
+                    p = (px ^ cross_yx) | py
+                    d, e = defect(a, s, p)
+                    sig = cut.coset_sig(d, e)
+                    if sig is None:
+                        continue
+                    cur = group.get(sig)
+                    if cur is None or dp._better(maximize, s, cur[0]):
+                        group[sig] = (s, p)
+            if not group:
+                del table[up]
+    return table
+
+
+def test_join_kernel_matches_the_reference_loop():
+    """Every node's subset table, joined again from its children's tables
+    through the reference loop above, equals the DP's table entry by entry
+    and in the same order.  Each of the three signature functions runs at
+    some joined node."""
+    rng = random.Random(68)
+    shape_rng = random.Random(680)
+    factories = {f"{f.__name__}.<locals>.coset_sig": f.__name__
+                 for f in (dp._mask_sig_twin_free, dp._mask_sig_with_twins, dp._rows_sig)}
+    ran: set[str] = set()
+    joins = 0
+    for _ in range(16):
+        g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        for t in tree_suite(g, rng, shape_rng):
+            for kind in ("mos", "mes", "ds", "tds"):
+                collect: dict = {}
+                _run(g, t, kind, collect=collect)
+                for node, (cut, tab) in collect.items():
+                    if t.is_leaf(node):
+                        continue
+                    x, y = t.children[node]
+                    (cx, tx), (cy, ty) = collect[x], collect[y]
+                    ref = _reference_join(cut, dp._child_map(g, cut, cx, cy.a),
+                                          dp._child_map(g, cut, cy, cx.a),
+                                          tx, ty, cx.a, cy.a, kind)
+                    assert [(c, list(gr.items())) for c, gr in tab.items()] == \
+                        [(c, list(gr.items())) for c, gr in ref.items()], (kind, node)
+                    ran.add(factories[cut.coset_sig.__qualname__])
+                    joins += 1
+    assert joins and ran == set(factories.values()), ran
+
+
 def test_reduced_rows_are_canonical_over_solution_sets():
     """`row_basis(rows).reduced_rows()` is the signature `coset_sig` uses for
     an affine system with the right-hand side in the highest bit: the system
@@ -307,7 +404,7 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                         pairs += [(s, s & ~p) for s, p in val]
                 else:
                     for _, _, val in _subset_entries(tab):
-                        pairs.append(_SUBSET_KINDS[kind](a, *val))
+                        pairs.append(_defect(kind, a, *val))
                 for _ in range(20):
                     d = a & rng.randrange(1 << g.n)
                     pairs.append((d, d & rng.randrange(1 << g.n)))
@@ -414,7 +511,6 @@ def test_table_entries_are_internally_consistent():
         for kind in ("mos", "mes", "ds", "tds"):
             collect: dict = {}
             _run(g, t, kind, collect=collect)
-            defect = _SUBSET_KINDS[kind]
             for cut, tab in collect.values():
                 for code, sig, (s, p) in _subset_entries(tab):
                     assert s & ~cut.a == 0
@@ -424,7 +520,7 @@ def test_table_entries_are_internally_consistent():
                             p_re |= 1 << v
                     assert p == p_re
                     assert code == cut.basis.a_code(s)
-                    d, e = defect(cut.a, s, p)
+                    d, e = _defect(kind, cut.a, s, p)
                     assert sig == cut.coset_sig(d, e)
 
 

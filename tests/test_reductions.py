@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -101,6 +102,32 @@ def test_cnf_shape_violations():
     problems = cnf.shape_violations()
     assert any("clause 3" in p for p in problems)
     assert any("variable 1" in p for p in problems)
+
+
+def test_shape_check_costs_the_input_not_the_declared_count():
+    """A tiny formula declaring 10^8 variables is refused at once, with the
+    variables that never occur reported as one count."""
+    cnf = parse_cnf("p cnf 100000000 1\n1 2 3 0\n")
+    start = time.perf_counter()
+    with pytest.raises(ReductionError) as info:
+        gen_mes_instance(cnf, 4, allow_small_p=True)
+    assert time.perf_counter() - start < 1.0
+    assert "99999997 declared variables never occur" in str(info.value)
+    assert "variable 1 occurs 1 times" in str(info.value)
+    assert cnf.shape_violations() == [
+        "variable 1 occurs 1 times, want 3",
+        "variable 2 occurs 1 times, want 3",
+        "variable 3 occurs 1 times, want 3",
+        "99999997 declared variables never occur, want 3 occurrences each",
+        "100000000 variables vs 1 clauses, want equal",
+    ]
+
+
+def test_parse_cnf_rejects_negative_counts():
+    with pytest.raises(CnfFormatError, match="line 1: negative count"):
+        parse_cnf("p cnf -3 0\n")
+    with pytest.raises(CnfFormatError, match="line 2: negative count"):
+        parse_cnf("c a comment\np cnf 3 -1\n", strict=False)
 
 
 def test_cnf_literal_validation():
