@@ -49,10 +49,17 @@ interchangeable, so a q-coloring key is the sorted tuple of its q class
 states, and the witness stores each class's (S, parities) in the same
 order.  A join tries every distinct arrangement of the y key's multiset
 against the x key; there are at most q!/(m_1!···m_k!) of them when the y
-states occur m_1, ..., m_k times, and q for a leaf.
+states occur m_1, ..., m_k times, and q for a leaf.  Each join numbers the
+distinct class states of its two child tables and memoises the parent
+state of every pair of them that it meets, so one pair costs one
+`coset_sig` call however many keys and arrangements it occurs in.  That
+is sound because the parent state depends only on the two child states
+(see `_join_table_qcol`).
 """
 from __future__ import annotations
 
+from itertools import chain
+from operator import add
 from typing import Iterator
 
 from .gf2 import row_basis
@@ -89,6 +96,9 @@ _MAXIMIZING = {"mos": True, "mes": True, "ds": False, "tds": False}
 # A completion signature: an int at a node whose outside patterns are
 # independent, reduced rows otherwise (see `_NodeCut`).
 _Sig = int | tuple[int, ...]
+
+# marks a pair of class states that `_join_table_qcol` has not joined yet
+_UNSEEN = object()
 
 
 def _better(maximize: bool, new: int, old: int) -> bool:
@@ -403,36 +413,77 @@ def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
     return {tuple(st for st, _ in classes): tuple(w for _, w in classes)}
 
 
-def _join_table_qcol(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, q: int):
+def _lift_states(table, get, other: int, scale: int):
+    """The distinct class states of a child table, numbered in first-seen
+    order: per state its parent code, its crossing vector masked to
+    `other`, and one witness (s, p) in it; per key, its states' numbers
+    times `scale`."""
+    witness = dict(zip(chain.from_iterable(table), chain.from_iterable(table.values())))
+    ids = dict(zip(witness, range(0, len(witness) * scale, scale)))
+    ups, flips = [], []
+    for code, _ in witness:
+        up, cross = get(code)
+        ups.append(up)
+        flips.append(cross & other)
+    return ups, flips, list(witness.values()), [list(map(ids.__getitem__, key)) for key in table]
+
+
+def _join_table_qcol(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int):
     """Every x key in its sorted order against every distinct arrangement of
     each y key's multiset: equal y states give equal results, so this
     covers every matching of x classes to y classes.  The arrangements are
     generated one at a time, so a join holds no more than its two tables
-    even when a y key has q!/(m_1!···m_k!) of them."""
+    even when a y key has q!/(m_1!···m_k!) of them.
+
+    The parent state of a class is memoised on its pair of child states,
+    numbered ``i_x * n_y + i_y`` (`_lift_states`): each pair of distinct
+    states costs one `coset_sig` call, on one witness of each state, and
+    every later occurrence reads the memo (None if the class cannot be
+    completed).  The memo is sound because the parent state is a function
+    of the two child states.  A child state (code, sig) fixes the child's
+    completion set, since sig is canonical for it, and the code fixes the
+    class's crossing vector: its parent code, and which parities it toggles
+    on the other child.  The parent class S_x | S_y is completed by T <= B
+    exactly when S_y plus T completes S_x at the x cut and S_x plus T
+    completes S_y at the y cut, so its completion set depends only on the
+    two codes and the two completion sets.  `coset_sig` is canonical for
+    that set, and the parent code is ``up_x ^ up_y``.
+
+    The loop order, the early break and first-wins are those of the direct
+    loop, and a new key's witness is built from its own classes, so the
+    table is the same entry by entry.  The memo lives for one join.
+    """
     coset_sig = cut.coset_sig
+    ups_y, flips_y, wit_y, ids_y = _lift_states(ty, get_y, ax, 1)
+    n_y = len(ups_y)
+    ups_x, flips_x, wit_x, ids_x = _lift_states(tx, get_x, ay, n_y)
+    xs = list(zip(tx.values(), ids_x))
+    memo: dict[int, tuple[int, _Sig] | None] = {}
     table: dict[tuple, tuple] = {}
-    lifted_xs = [[(*get_x(c), sx, px) for (c, _), (sx, px) in zip(keyx, valx)]
-                 for keyx, valx in tx.items()]
-    for keyy, valy in ty.items():
-        lifted = [(*get_y(c), sy, py) for (c, _), (sy, py) in zip(keyy, valy)]
+    for (keyy, valy), row_y in zip(ty.items(), ids_y):
         for order in _distinct_orders(keyy):
-            lifted_y = [lifted[i] for i in order]
-            for lifted_x in lifted_xs:
+            arranged = [row_y[j] for j in order]
+            for valx, row_x in xs:
                 states: list[tuple[int, _Sig]] = []
-                val: list[tuple[int, int]] = []
-                for i in range(q):
-                    up_x, cross_x, sx, px = lifted_x[i]
-                    up_y, cross_y, sy, py = lifted_y[i]
-                    s = sx | sy
-                    p = (px ^ (cross_y & ax)) | (py ^ (cross_x & ay))
-                    sig = coset_sig(s, s & ~p)
-                    if sig is None:
+                for pair in map(add, row_x, arranged):
+                    st = memo.get(pair, _UNSEEN)
+                    if st is _UNSEEN:
+                        i_x, i_y = divmod(pair, n_y)
+                        (sx, px), (sy, py) = wit_x[i_x], wit_y[i_y]
+                        s = sx | sy
+                        sig = coset_sig(s, s & ~((px ^ flips_y[i_y]) | (py ^ flips_x[i_x])))
+                        st = memo[pair] = None if sig is None else (ups_x[i_x] ^ ups_y[i_y], sig)
+                    if st is None:
                         break
-                    states.append((up_x ^ up_y, sig))
-                    val.append((s, p))
+                    states.append(st)
                 else:
                     key = tuple(sorted(states))
                     if key not in table:
+                        val = []
+                        for (sx, px), j, x_id in zip(valx, order, row_x):
+                            sy, py = valy[j]
+                            val.append((sx | sy, (px ^ flips_y[row_y[j]])
+                                        | (py ^ flips_x[x_id // n_y])))
                         table[key] = tuple(w for _, w in sorted(zip(states, val)))
     return table
 
@@ -456,7 +507,7 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
             get_x = _child_map(g, cut, cuts[x], ay)
             get_y = _child_map(g, cut, cuts[y], ax)
             if kind == "qcol":
-                tab = _join_table_qcol(cut, get_x, get_y, tables[x], tables[y], ax, ay, q)
+                tab = _join_table_qcol(cut, get_x, get_y, tables[x], tables[y], ax, ay)
             else:
                 tab = _join_table(cut, get_x, get_y, tables[x], tables[y], ax, ay, kind)
             if collect is None:
@@ -511,10 +562,13 @@ def solve_odd_qcol(g: Graph, t: DecompositionTree, q: int) -> tuple[int, ...] | 
     """Partition into <= q classes, each inducing an odd subgraph.
 
     Returns the per-vertex class tuple (values 0..q-1) or None if infeasible.
+    A partition of n vertices has at most n nonempty classes, so the DP
+    runs with min(q, n) classes: a larger q asks the same question, and
+    would only make every key longer.
     """
     if q < 1:
         raise ValueError("q must be positive")
-    root_table = _run(g, t, "qcol", q=q)
+    root_table = _run(g, t, "qcol", q=min(q, g.n))
     if not root_table:
         return None
     val = next(iter(root_table.values()))

@@ -115,9 +115,6 @@ class Graph(Frozen):
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, ascending."""
         for u in range(self.n):
@@ -172,10 +169,6 @@ def n2_neighborhood(g: Graph, mask: int) -> int:
     for v in vertices_of(mask):
         acc ^= g.adj[v]
     return acc
-
-
-def degree_in(g: Graph, v: int, mask: int) -> int:
-    return (g.adj[v] & mask).bit_count()
 
 
 def is_odd_set(g: Graph, mask: int) -> bool:

@@ -201,12 +201,6 @@ class GadgetMap:
         """
         return self.clause_base(j) + 2 + slot * 4 + (k - 1) * 2 + (r - 1)
 
-    def variable_block(self, i: int) -> int:
-        return sum(1 << v for v in range(self.var_base(i), self.var_base(i) + self.p + 2))
-
-    def clause_block(self, j: int) -> int:
-        return sum(1 << v for v in range(self.clause_base(j), self.clause_base(j) + 14))
-
 
 def gen_mes_instance(cnf: Cnf23, p: int = MIN_PROOF_P,
                      allow_small_p: bool = False) -> tuple[Graph, GadgetMap, int]:

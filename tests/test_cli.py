@@ -11,7 +11,7 @@ import pytest
 from conftest import binary_tree
 from oddsolve import dp, rankdec
 from oddsolve.cli import DECOMPOSE_METHODS, SOLVE_PROBLEMS, main
-from oddsolve.graph import parse_graph, write_graph, gen_family
+from oddsolve.graph import Graph, parse_graph, write_graph, gen_family
 
 FIRST_LINE = re.compile(r"^value=(\d+|none) feasible=(true|false)$")
 
@@ -262,6 +262,19 @@ def test_certificate_emission_and_verification(capsys, c6_file, tmp_path):
                        "--certificate", str(cert))
     assert code == 1
     assert "rejected" in out and "vertex" in out
+
+
+def test_oversized_q_solves_and_verifies(capsys, tmp_path):
+    """--q far beyond the vertex count answers at once, and its certificate
+    verifies."""
+    graph = tmp_path / "two-edges.col"
+    graph.write_text(write_graph(Graph.from_edges(4, [(0, 1), (2, 3)])))
+    cert = tmp_path / "two-edges.cert"
+    code, out, _ = run(capsys, "solve", "odd-qcol", "--graph", str(graph),
+                       "--q", "1000000000000", "--emit-certificate", str(cert))
+    assert code == 0 and out.splitlines()[0] == "value=1 feasible=true"
+    code, out, _ = run(capsys, "verify", "--graph", str(graph), "--certificate", str(cert))
+    assert code == 0, out
 
 
 def test_verify_problem_mismatch(capsys, c6_file, tmp_path):

@@ -205,6 +205,16 @@ def test_qcol_rejects_nonpositive_q():
         dp.solve_odd_qcol(g, bfs_tree(g), 0)
 
 
+def test_qcol_with_an_oversized_q_answers_at_once():
+    """q far beyond n asks the same question as q = n: the DP must not
+    build q-tuples."""
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    start = time.perf_counter()
+    colors = dp.solve_odd_qcol(g, bfs_tree(g), 10**12)
+    assert time.perf_counter() - start < 1
+    assert check_odd_coloring(g, colors, 10**12)
+
+
 def test_disconnected_graphs():
     # two even components: answers compose across components
     g = Graph.from_edges(8, [(0, 1), (2, 3), (4, 5), (5, 6), (6, 7), (7, 4)])
@@ -619,6 +629,100 @@ def test_qcol_witnesses_realise_their_keys():
                         union |= s
                         assert _class_state(g, cut, s) == (st, p)
                     assert union == cut.a
+
+
+# The q-coloring join as it was written before the memo: one `coset_sig`
+# call per class of every x key against every arrangement of every y key.
+def _reference_qcol_join(cut, get_x, get_y, tx, ty, ax, ay, q):
+    table: dict = {}
+    lifted_xs = [[(*get_x(c), sx, px) for (c, _), (sx, px) in zip(keyx, valx)]
+                 for keyx, valx in tx.items()]
+    for keyy, valy in ty.items():
+        lifted = [(*get_y(c), sy, py) for (c, _), (sy, py) in zip(keyy, valy)]
+        for order in _distinct_orders(keyy):
+            lifted_y = [lifted[i] for i in order]
+            for lifted_x in lifted_xs:
+                states = []
+                val = []
+                for i in range(q):
+                    up_x, cross_x, sx, px = lifted_x[i]
+                    up_y, cross_y, sy, py = lifted_y[i]
+                    s = sx | sy
+                    p = (px ^ (cross_y & ax)) | (py ^ (cross_x & ay))
+                    sig = cut.coset_sig(s, s & ~p)
+                    if sig is None:
+                        break
+                    states.append((up_x ^ up_y, sig))
+                    val.append((s, p))
+                else:
+                    key = tuple(sorted(states))
+                    if key not in table:
+                        table[key] = tuple(w for _, w in sorted(zip(states, val)))
+    return table
+
+
+def _qcol_joins(seed: int, graphs: int):
+    """(g, q, cut, table, (x cut, x table), (y cut, y table)) at every join
+    of a q-coloring DP over random graphs (n <= 10), every tree of
+    `tree_suite` and q = 2, 3, 4."""
+    rng = random.Random(seed)
+    shape_rng = random.Random(seed * 10)
+    for _ in range(graphs):
+        g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        for t in tree_suite(g, rng, shape_rng):
+            for q in (2, 3, 4):
+                collect: dict = {}
+                _run(g, t, "qcol", q=q, collect=collect)
+                for node, (cut, tab) in collect.items():
+                    if not t.is_leaf(node):
+                        x, y = t.children[node]
+                        yield g, q, cut, tab, collect[x], collect[y]
+
+
+def test_qcol_join_matches_the_reference_loop():
+    """Every node's q-coloring table, joined again from its children's
+    tables through the reference loop above, equals the DP's table entry by
+    entry and in the same order.  Each of the three signature functions
+    runs at some joined node."""
+    factories = {f"{f.__name__}.<locals>.coset_sig": f.__name__
+                 for f in (dp._mask_sig_twin_free, dp._mask_sig_with_twins, dp._rows_sig)}
+    ran: set[str] = set()
+    joins = 0
+    for g, q, cut, tab, (cx, tx), (cy, ty) in _qcol_joins(71, 16):
+        ref = _reference_qcol_join(cut, dp._child_map(g, cut, cx, cy.a),
+                                   dp._child_map(g, cut, cy, cx.a), tx, ty, cx.a, cy.a, q)
+        assert list(tab.items()) == list(ref.items()), (g.n, q)
+        ran.add(factories[cut.coset_sig.__qualname__])
+        joins += 1
+    assert joins and ran == set(factories.values()), ran
+
+
+def test_qcol_parent_class_state_is_a_function_of_the_child_states():
+    """What the join memo relies on: at every join, every pair of class
+    witnesses with the same (x state, y state) gives the same parent class
+    state, computed directly, and a completable one is the state of the
+    union recomputed from scratch."""
+    shared = 0
+    for g, _, cut, _, (cx, tx), (cy, ty) in _qcol_joins(72, 10):
+        get_x = dp._child_map(g, cut, cx, cy.a)
+        get_y = dp._child_map(g, cut, cy, cx.a)
+        xs = {(st, w) for key, val in tx.items() for st, w in zip(key, val)}
+        ys = {(st, w) for key, val in ty.items() for st, w in zip(key, val)}
+        parent: dict = {}
+        witnesses: dict = {}
+        for (stx, (sx, px)), (sty, (sy, py)) in product(xs, ys):
+            up_x, cross_x = get_x(stx[0])
+            up_y, cross_y = get_y(sty[0])
+            s = sx | sy
+            p = (px ^ (cross_y & cx.a)) | (py ^ (cross_x & cy.a))
+            sig = cut.coset_sig(s, s & ~p)
+            st = None if sig is None else (up_x ^ up_y, sig)
+            if st is not None:
+                assert _class_state(g, cut, s) == (st, p)
+            assert parent.setdefault((stx, sty), st) == st
+            witnesses.setdefault((stx, sty), set()).add(s)
+        shared += sum(len(ws) > 1 for ws in witnesses.values())
+    assert shared  # some pair of states is met by more than one pair of witnesses
 
 
 def test_qcol_largest_tables_hold_one_key_per_orbit():

@@ -11,7 +11,7 @@ from conftest import check_even_set, check_odd_coloring, check_odd_set, rand_gra
 from oddsolve import dp
 from oddsolve.graph import Graph, gen_family
 from oddsolve.oracle import oracle_mes, oracle_mos
-from oddsolve.rankdec import caterpillar
+from oddsolve.rankdec import auto_tree, caterpillar
 from oddsolve.reductions import (
     MIN_PROOF_P,
     Cnf23,
@@ -274,6 +274,21 @@ def test_qcol_witness_rejects_improper_input():
         qcol_witness(inst, (0, 0, 1))
     with pytest.raises(ReductionError):
         qcol_witness(inst, (0, 1))  # wrong length
+
+
+def test_qcol_reduction_of_the_grotzsch_graph_is_infeasible_at_q3():
+    """The Grötzsch graph (the Mycielskian of C5, chromatic number 4)
+    through the paper's reduction: 38 vertices, a min-degree tree of width
+    5.  No odd coloring with 3 or fewer classes exists."""
+    c5 = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(5 + i, w) for u, v in c5 for i, w in ((u, v), (v, u))]
+    grotzsch = Graph.from_edges(11, c5 + shadows + [(10, 5 + i) for i in range(5)])
+    assert grotzsch.m == 20
+    g = gen_qcol_instance(grotzsch).graph
+    t, _, width = auto_tree(g)
+    assert (g.n, g.m, width) == (38, 48, 5)
+    for q in (1, 2, 3):
+        assert dp.solve_odd_qcol(g, t, q) is None, q
 
 
 def proper_coloring(g: Graph, q: int):
