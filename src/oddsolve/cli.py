@@ -419,6 +419,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         code, lines = args.fn(args)
@@ -429,8 +430,10 @@ def main(argv=None) -> int:
     except MemoryError:
         lines = None  # report below, once the traceback has released the tables
     if lines is None:
-        print("error: out of memory; a narrower decomposition (--dec) may fit",
-              file=sys.stderr)
+        message = "error: out of memory"
+        if args is not None and args.command == "solve":  # the one subcommand with --dec
+            message += "; a narrower decomposition (--dec) may fit"
+        print(message, file=sys.stderr)
         return EXIT_ERROR
     try:
         for line in lines:

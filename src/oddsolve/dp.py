@@ -49,21 +49,27 @@ interchangeable, so a q-coloring key is the sorted tuple of its q class
 states, and the witness stores each class's (S, parities) in the same
 order.  A join tries every distinct arrangement of the y key's multiset
 against the x key; there are at most q!/(m_1!···m_k!) of them when the y
-states occur m_1, ..., m_k times, and q for a leaf.  Each join numbers the
-distinct class states of its two child tables and memoises the parent
-state of every pair of them that it meets, so one pair costs one
-`coset_sig` call however many keys and arrangements it occurs in.  That
-is sound because the parent state depends only on the two child states
-(see `_join_table_qcol`).
+states occur m_1, ..., m_k times, and q for a leaf.  Each join groups the
+distinct class states of its two child tables by code, as a subset table
+is grouped, and fills a table with the parent state of every pair of them,
+so one pair costs one `coset_sig` call however many keys and arrangements
+it occurs in.  That is sound because the parent state depends only on the
+two child states (see `_join_table_qcol`).
+
+Both joins lift child code groups with the one function `_lift` and run
+the same group-pair loop, but each keeps its own copy of that loop: the
+subset loop folds pairs into the best witness per key, while the
+q-coloring loop records each pair's parent state.  One shared loop would
+have to branch on which join called it.
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import count
 from operator import add
 from typing import Iterator
 
 from .gf2 import row_basis
-from .graph import Graph, mask_lex_less, vertices_of
+from .graph import Graph, vertices_of
 from .rankdec import CutBasis, DecompositionTree, cut_walk
 
 __all__ = [
@@ -96,16 +102,6 @@ _MAXIMIZING = {"mos": True, "mes": True, "ds": False, "tds": False}
 # A completion signature: an int at a node whose outside patterns are
 # independent, reduced rows otherwise (see `_NodeCut`).
 _Sig = int | tuple[int, ...]
-
-# marks a pair of class states that `_join_table_qcol` has not joined yet
-_UNSEEN = object()
-
-
-def _better(maximize: bool, new: int, old: int) -> bool:
-    nc, oc = new.bit_count(), old.bit_count()
-    if nc != oc:
-        return nc > oc if maximize else nc < oc
-    return mask_lex_less(new, old)
 
 
 class _NodeCut:
@@ -271,33 +267,27 @@ def _rows_sig(zero_mask: int, pattern_rows: tuple[tuple[int, int, bool], ...], r
     return coset_sig
 
 
-def _child_map(g: Graph, parent: _NodeCut, child: _NodeCut, sibling_mask: int):
-    """code-at-child -> (code over the parent basis, parity mask on sibling).
+def _lift(g: Graph, parent: _NodeCut, child: _NodeCut, sibling: int, groups) -> list:
+    """``(up, cross & sibling, entries)`` per ``(code, entries)`` group of a
+    child table: the code over the parent basis, and the parities that the
+    group's crossing vector toggles on the sibling child.
 
-    Both outputs depend only on the child code: subsets with equal crossing
+    Both depend only on the child code: subsets with equal crossing
     behavior at the child cut agree on every vertex outside the child.
     """
     rows = [g.adj[v] for v in child.basis.a_basis_vertices]
     dec = parent.basis.a_dec
     b = parent.b
-    cache: dict[int, tuple[int, int]] = {}
-
-    def get(code: int) -> tuple[int, int]:
-        hit = cache.get(code)
-        if hit is not None:
-            return hit
+    lifted = []
+    for code, entries in groups:
         vec = 0
-        rest = code
-        while rest:
-            vec ^= rows[(rest & -rest).bit_length() - 1]
-            rest &= rest - 1
+        while code:
+            vec ^= rows[(code & -code).bit_length() - 1]
+            code &= code - 1
         up = dec.coordinates(vec & b)
         assert up is not None, "crossing vector must stay in the parent span"
-        out = (up, vec & sibling_mask)
-        cache[code] = out
-        return out
-
-    return get
+        lifted.append((up, vec & sibling, entries))
+    return lifted
 
 
 def _leaf_table(cut: _NodeCut, u: int, kind: str):
@@ -312,32 +302,28 @@ def _leaf_table(cut: _NodeCut, u: int, kind: str):
     return table
 
 
-def _join_table(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int, kind: str):
+def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kind: str):
     """Join two subset tables one pair of code groups at a time.
 
-    What depends on codes alone is hoisted out of the pair loop: each x
-    code is lifted once and its crossing vector masked to the y side once;
-    per pair of groups the parent code ``up_x ^ up_y`` and the y crossing
-    vector masked to the x side are computed once, and per y entry its
-    parities are fixed by the x crossing vector once.  The pair loop fixes
-    the x parities, forms (D, E) from the kind's (keep, set, flip)
+    What depends on codes alone is hoisted out of the pair loop: `_lift`
+    gives each group its parent code and its crossing vector masked to the
+    sibling once, the parent code ``up_x ^ up_y`` is formed once per pair
+    of groups, and each y entry's parities are fixed by the x crossing
+    vector once.  The y entries run outside the x entries.  The pair loop
+    fixes the x parities, forms (D, E) from the kind's (keep, set, flip)
     constants, makes its one call, to the cut's `coset_sig`, and keeps the
     better witness under the plain signature in the ``up`` group: more
     vertices when maximizing, fewer when not, then the lexicographically
-    least (`_better`, written out).  A group that gets no entry is deleted,
-    so a table with no entry is still empty.
+    least.  A group that gets no entry is deleted, so a table with no entry
+    is still empty.
     """
     keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     maximize = _MAXIMIZING[kind]
     coset_sig = cut.coset_sig
     table: dict[int, dict[_Sig, tuple[int, int]]] = {}
-    lifted_y = [(*get_y(cy), gy.values()) for cy, gy in ty.items()]
-    for cx, gx in tx.items():
-        up_x, cross_x = get_x(cx)
-        cross_xy = cross_x & ay
-        xs = gx.values()
-        for up_y, cross_y, ys in lifted_y:
-            cross_yx = cross_y & ax
+    lifted_y = _lift(g, cut, cy, cx.a, ((c, gy.values()) for c, gy in ty.items()))
+    for up_x, cross_xy, xs in _lift(g, cut, cx, cy.a, ((c, gx.values()) for c, gx in tx.items())):
+        for up_y, cross_yx, ys in lifted_y:
             up = up_x ^ up_y
             group = table.get(up)
             if group is None:
@@ -413,66 +399,79 @@ def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
     return {tuple(st for st, _ in classes): tuple(w for _, w in classes)}
 
 
-def _lift_states(table, get, other: int, scale: int):
-    """The distinct class states of a child table, numbered in first-seen
-    order: per state its parent code, its crossing vector masked to
-    `other`, and one witness (s, p) in it; per key, its states' numbers
-    times `scale`."""
-    witness = dict(zip(chain.from_iterable(table), chain.from_iterable(table.values())))
-    ids = dict(zip(witness, range(0, len(witness) * scale, scale)))
-    ups, flips = [], []
-    for code, _ in witness:
-        up, cross = get(code)
-        ups.append(up)
-        flips.append(cross & other)
-    return ups, flips, list(witness.values()), [list(map(ids.__getitem__, key)) for key in table]
+def _class_states(table, scale: int):
+    """The distinct class states of a q-coloring table, grouped by code as a
+    subset table is: per code the entries ``(number * scale, s, p)``, with
+    one witness (s, p) per state, and per key its states' numbers times
+    `scale`.  States are numbered group by group, so a list built from the
+    lifted groups in order is indexed by state number."""
+    groups: dict[int, dict[_Sig, tuple[int, int]]] = {}
+    for key, val in table.items():
+        for (code, sig), w in zip(key, val):
+            groups.setdefault(code, {}).setdefault(sig, w)
+    number = count(0, scale)
+    ids = {(code, sig): next(number) for code, group in groups.items() for sig in group}
+    states = [(code, [(ids[code, sig], s, p) for sig, (s, p) in group.items()])
+              for code, group in groups.items()]
+    return states, [[ids[st] for st in key] for key in table]
 
 
-def _join_table_qcol(cut: _NodeCut, get_x, get_y, tx, ty, ax: int, ay: int):
+def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty):
     """Every x key in its sorted order against every distinct arrangement of
     each y key's multiset: equal y states give equal results, so this
     covers every matching of x classes to y classes.  The arrangements are
     generated one at a time, so a join holds no more than its two tables
-    even when a y key has q!/(m_1!···m_k!) of them.
+    and the table of state pairs, even when a y key has q!/(m_1!···m_k!)
+    of them.
 
-    The parent state of a class is memoised on its pair of child states,
-    numbered ``i_x * n_y + i_y`` (`_lift_states`): each pair of distinct
-    states costs one `coset_sig` call, on one witness of each state, and
-    every later occurrence reads the memo (None if the class cannot be
-    completed).  The memo is sound because the parent state is a function
-    of the two child states.  A child state (code, sig) fixes the child's
-    completion set, since sig is canonical for it, and the code fixes the
-    class's crossing vector: its parent code, and which parities it toggles
-    on the other child.  The parent class S_x | S_y is completed by T <= B
-    exactly when S_y plus T completes S_x at the x cut and S_x plus T
-    completes S_y at the y cut, so its completion set depends only on the
-    two codes and the two completion sets.  `coset_sig` is canonical for
-    that set, and the parent code is ``up_x ^ up_y``.
+    First the parent state of every pair of distinct child class states is
+    put in the flat list ``parent[i_x * n_y + i_y]`` (None if the class
+    cannot be completed), by the subset join's group-pair loop with the mos
+    defect: each child's states are grouped by code (`_class_states`) and
+    lifted by `_lift`, and each pair costs one `coset_sig` call, on one
+    witness of each state.  The arrangement loop then reads that list.
+    This is sound because the parent state is a function of the two child
+    states.  A child state (code, sig) fixes the child's completion set,
+    since sig is canonical for it, and the code fixes the class's crossing
+    vector: its parent code, and which parities it toggles on the other
+    child.  The parent class S_x | S_y is completed by T <= B exactly when
+    S_y plus T completes S_x at the x cut and S_x plus T completes S_y at
+    the y cut, so its completion set depends only on the two codes and the
+    two completion sets.  `coset_sig` is canonical for that set, and the
+    parent code is ``up_x ^ up_y``.
 
     The loop order, the early break and first-wins are those of the direct
-    loop, and a new key's witness is built from its own classes, so the
-    table is the same entry by entry.  The memo lives for one join.
+    loop, and a new key's witness is built from its own classes, through
+    per-state flip lists, so the table is the same entry by entry.
     """
     coset_sig = cut.coset_sig
-    ups_y, flips_y, wit_y, ids_y = _lift_states(ty, get_y, ax, 1)
-    n_y = len(ups_y)
-    ups_x, flips_x, wit_x, ids_x = _lift_states(tx, get_x, ay, n_y)
-    xs = list(zip(tx.values(), ids_x))
-    memo: dict[int, tuple[int, _Sig] | None] = {}
+    states_y, rows_y = _class_states(ty, 1)
+    lifted_y = _lift(g, cut, cy, cx.a, states_y)
+    flips_y = [cross for _, cross, ys in lifted_y for _ in ys]
+    n_y = len(flips_y)
+    states_x, rows_x = _class_states(tx, n_y)
+    lifted_x = _lift(g, cut, cx, cy.a, states_x)
+    flips_x = [cross for _, cross, xs in lifted_x for _ in xs]
+    parent: list[tuple[int, _Sig] | None] = [None] * (len(flips_x) * n_y)
+    for up_x, cross_xy, xs in lifted_x:
+        for up_y, cross_yx, ys in lifted_y:
+            up = up_x ^ up_y
+            for i_y, sy, py in ys:
+                py ^= cross_xy
+                for i_x, sx, px in xs:
+                    s = sx | sy
+                    sig = coset_sig(s, s & ~((px ^ cross_yx) | py))
+                    if sig is not None:
+                        parent[i_x + i_y] = (up, sig)
+    keys_x = list(zip(tx.values(), rows_x))
     table: dict[tuple, tuple] = {}
-    for (keyy, valy), row_y in zip(ty.items(), ids_y):
+    for (keyy, valy), row_y in zip(ty.items(), rows_y):
         for order in _distinct_orders(keyy):
             arranged = [row_y[j] for j in order]
-            for valx, row_x in xs:
+            for valx, row_x in keys_x:
                 states: list[tuple[int, _Sig]] = []
                 for pair in map(add, row_x, arranged):
-                    st = memo.get(pair, _UNSEEN)
-                    if st is _UNSEEN:
-                        i_x, i_y = divmod(pair, n_y)
-                        (sx, px), (sy, py) = wit_x[i_x], wit_y[i_y]
-                        s = sx | sy
-                        sig = coset_sig(s, s & ~((px ^ flips_y[i_y]) | (py ^ flips_x[i_x])))
-                        st = memo[pair] = None if sig is None else (ups_x[i_x] ^ ups_y[i_y], sig)
+                    st = parent[pair]
                     if st is None:
                         break
                     states.append(st)
@@ -503,13 +502,10 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
             tab = _leaf_table_qcol(cut, u, q) if kind == "qcol" else _leaf_table(cut, u, kind)
         else:
             x, y = t.children[node]
-            ax, ay = cuts[x].a, cuts[y].a
-            get_x = _child_map(g, cut, cuts[x], ay)
-            get_y = _child_map(g, cut, cuts[y], ax)
             if kind == "qcol":
-                tab = _join_table_qcol(cut, get_x, get_y, tables[x], tables[y], ax, ay)
+                tab = _join_table_qcol(g, cut, cuts[x], cuts[y], tables[x], tables[y])
             else:
-                tab = _join_table(cut, get_x, get_y, tables[x], tables[y], ax, ay, kind)
+                tab = _join_table(g, cut, cuts[x], cuts[y], tables[x], tables[y], kind)
             if collect is None:
                 del tables[x], tables[y], cuts[x], cuts[y]
         cuts[node] = cut
@@ -521,41 +517,40 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
     return tables[t.root]
 
 
-def _extract_subset(root_table, maximize: bool) -> tuple[int, int] | None:
-    best = None
+def _extract_subset(root_table) -> tuple[int, int] | None:
+    """The root table's entry, or None.  At the root the cut is (V, {}): the
+    code is 0 and the signature is 0 or None, so the table holds at most
+    one entry."""
     for group in root_table.values():
         for s, _ in group.values():
-            if best is None or _better(maximize, s, best):
-                best = s
-    if best is None:
-        return None
-    return best.bit_count(), best
+            return s.bit_count(), s
+    return None
 
 
 def solve_mos(g: Graph, t: DecompositionTree) -> tuple[int, int]:
     """Maximum induced subgraph with all degrees odd: (order, vertex mask)."""
-    out = _extract_subset(_run(g, t, "mos"), maximize=True)
+    out = _extract_subset(_run(g, t, "mos"))
     assert out is not None, "the empty set is always a valid odd subgraph"
     return out
 
 
 def solve_mes(g: Graph, t: DecompositionTree) -> tuple[int, int]:
     """Maximum induced subgraph with all degrees even: (order, vertex mask)."""
-    out = _extract_subset(_run(g, t, "mes"), maximize=True)
+    out = _extract_subset(_run(g, t, "mes"))
     assert out is not None
     return out
 
 
 def solve_odd_ds(g: Graph, t: DecompositionTree) -> tuple[int, int]:
     """Minimum set S with |N(v) & S| odd for every v outside S."""
-    out = _extract_subset(_run(g, t, "ds"), maximize=False)
+    out = _extract_subset(_run(g, t, "ds"))
     assert out is not None, "the full vertex set always dominates"
     return out
 
 
 def solve_odd_tds(g: Graph, t: DecompositionTree) -> tuple[int, int] | None:
     """Minimum S with |N(v) & S| odd for every vertex, or None."""
-    return _extract_subset(_run(g, t, "tds"), maximize=False)
+    return _extract_subset(_run(g, t, "tds"))
 
 
 def solve_odd_qcol(g: Graph, t: DecompositionTree, q: int) -> tuple[int, ...] | None:

@@ -390,6 +390,11 @@ def test_out_of_memory_exits_with_1_and_one_line(capsys, c6_file, monkeypatch):
     code, out, err = run(capsys, "solve", "mos", "--graph", c6_file)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+    # only `solve` has --dec to suggest
+    monkeypatch.setattr(rankdec, "optimal_linear", exhausted)
+    code, out, err = run(capsys, "decompose", "--method", "optimal-linear", "--graph", c6_file)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: out of memory"]
 
 
 def test_closed_stdout_exits_with_1_and_one_line(c6_file):

@@ -19,7 +19,7 @@ from conftest import (
 from oddsolve import dp
 from oddsolve.dp import _distinct_orders, _run, _SUBSET_KINDS
 from oddsolve.gf2 import row_basis
-from oddsolve.graph import Graph, gen_family, is_odd_set, vertices_of
+from oddsolve.graph import Graph, gen_family, is_odd_set, mask_lex_less, vertices_of
 from oddsolve.oracle import (
     oracle_chi_odd,
     oracle_mes,
@@ -258,6 +258,30 @@ def test_defect_constants_match_their_definitions():
                 assert _defect(kind, a, s, p) == want(a, s, p), (kind, a, s, p)
 
 
+def _child_map(g: Graph, parent, child, sibling_mask: int):
+    """code-at-child -> (code over the parent basis, parity mask on sibling),
+    lifted one code at a time, independently of `dp._lift`."""
+    rows = [g.adj[v] for v in child.basis.a_basis_vertices]
+
+    def get(code: int) -> tuple[int, int]:
+        vec = 0
+        for i in range(code.bit_length()):
+            if code >> i & 1:
+                vec ^= rows[i]
+        up = parent.basis.a_dec.coordinates(vec & parent.b)
+        assert up is not None
+        return up, vec & sibling_mask
+
+    return get
+
+
+def _better(maximize: bool, new: int, old: int) -> bool:
+    nc, oc = new.bit_count(), old.bit_count()
+    if nc != oc:
+        return nc > oc if maximize else nc < oc
+    return mask_lex_less(new, old)
+
+
 # The subset join as it was written before the per-cut signature functions
 # and the (keep, set, flip) constants: one defect lambda, one `coset_sig`
 # call and one `_better` call per pair.
@@ -287,7 +311,7 @@ def _reference_join(cut, get_x, get_y, tx, ty, ax, ay, kind):
                     if sig is None:
                         continue
                     cur = group.get(sig)
-                    if cur is None or dp._better(maximize, s, cur[0]):
+                    if cur is None or _better(maximize, s, cur[0]):
                         group[sig] = (s, p)
             if not group:
                 del table[up]
@@ -316,8 +340,8 @@ def test_join_kernel_matches_the_reference_loop():
                         continue
                     x, y = t.children[node]
                     (cx, tx), (cy, ty) = collect[x], collect[y]
-                    ref = _reference_join(cut, dp._child_map(g, cut, cx, cy.a),
-                                          dp._child_map(g, cut, cy, cx.a),
+                    ref = _reference_join(cut, _child_map(g, cut, cx, cy.a),
+                                          _child_map(g, cut, cy, cx.a),
                                           tx, ty, cx.a, cy.a, kind)
                     assert [(c, list(gr.items())) for c, gr in tab.items()] == \
                         [(c, list(gr.items())) for c, gr in ref.items()], (kind, node)
@@ -689,8 +713,8 @@ def test_qcol_join_matches_the_reference_loop():
     ran: set[str] = set()
     joins = 0
     for g, q, cut, tab, (cx, tx), (cy, ty) in _qcol_joins(71, 16):
-        ref = _reference_qcol_join(cut, dp._child_map(g, cut, cx, cy.a),
-                                   dp._child_map(g, cut, cy, cx.a), tx, ty, cx.a, cy.a, q)
+        ref = _reference_qcol_join(cut, _child_map(g, cut, cx, cy.a),
+                                   _child_map(g, cut, cy, cx.a), tx, ty, cx.a, cy.a, q)
         assert list(tab.items()) == list(ref.items()), (g.n, q)
         ran.add(factories[cut.coset_sig.__qualname__])
         joins += 1
@@ -698,14 +722,14 @@ def test_qcol_join_matches_the_reference_loop():
 
 
 def test_qcol_parent_class_state_is_a_function_of_the_child_states():
-    """What the join memo relies on: at every join, every pair of class
-    witnesses with the same (x state, y state) gives the same parent class
-    state, computed directly, and a completable one is the state of the
-    union recomputed from scratch."""
+    """What the join's table of state pairs relies on: at every join, every
+    pair of class witnesses with the same (x state, y state) gives the same
+    parent class state, computed directly, and a completable one is the
+    state of the union recomputed from scratch."""
     shared = 0
     for g, _, cut, _, (cx, tx), (cy, ty) in _qcol_joins(72, 10):
-        get_x = dp._child_map(g, cut, cx, cy.a)
-        get_y = dp._child_map(g, cut, cy, cx.a)
+        get_x = _child_map(g, cut, cx, cy.a)
+        get_y = _child_map(g, cut, cy, cx.a)
         xs = {(st, w) for key, val in tx.items() for st, w in zip(key, val)}
         ys = {(st, w) for key, val in ty.items() for st, w in zip(key, val)}
         parent: dict = {}
@@ -777,6 +801,20 @@ def test_root_survivors_have_no_outstanding_defects():
             # rank-0 cut at the root: no code, and the empty completion system
             assert code == 0 and sig == root_cut.coset_sig(0, 0)
             assert check_odd_set(g, s)
+    # so every root table holds at most one entry, which `_extract_subset`
+    # returns without comparing witnesses
+    for _ in range(10):
+        g = rand_graph(rng, rng.randrange(1, 10), rng.uniform(0.2, 0.8))
+        order = list(range(g.n))
+        rng.shuffle(order)
+        for t in (bfs_tree(g), elimination_tree(g), caterpillar(g, order)):
+            for kind in ("mos", "mes", "ds", "tds"):
+                entries = list(_subset_entries(_run(g, t, kind)))
+                assert len(entries) <= 1, kind
+                for code, sig, _ in entries:
+                    assert code == 0 and sig == 0
+            for q in (2, 3):
+                assert len(_run(g, t, "qcol", q=q)) <= 1, q
 
 
 def test_incremental_cuts_match_from_scratch():
