@@ -6,26 +6,26 @@ things that together decide how it can be completed across the cut (A, B):
 
   * the code of N2(S) & B over the cut's row basis (how S toggles outside
     degree parities), and
-  * the set of completion codes that fix S's remaining parity defects,
+  * the set of completions T <= B that fix S's remaining parity defects,
     stored as the canonical reduced form of a small affine GF(2) system
-    (one equation per realized neighborhood pattern inside A, right-hand
-    side in the highest bit), i.e. `gf2.row_basis(rows).reduced_rows()`.
+    (one equation per class of A-vertices with equal code, right-hand side
+    in the highest bit), i.e. `gf2.row_basis(rows).reduced_rows()`.
 
-The equations are written over the pattern basis, the earliest independent
-patterns, rather than over the completion code itself.  The change of
-variables is onto, so equal reduced forms still mean equal completion sets;
-and a system that selects only basis patterns is a set of unit rows, already
-in reduced form, so `row_basis` runs only when another pattern is selected.
+The one basis per cut is the A side's.  The equations are written over
+y_i = |N(a_i) & T| mod 2 for its basis vertices a_i, so a vertex's equation
+row is its code (see `_NodeCut`).  A basis vertex's code is a unit row, so
+a system that selects only classes of basis vertices is already in reduced
+form, and `row_basis` runs only when another class is selected.
 
-At a node whose distinct patterns are all independent, every system is such
-a set of unit rows, named by which patterns it selects and the right-hand
-side of each.  There the signature is one int over a representative vertex
-per pattern: selected representatives in the low n bits, those asking for
-odd outside degree above them.  Keys are only compared within one node, so
-the two encodings never meet.
+At a node where every class holds a basis vertex, every system is such a
+set of unit rows, named by which classes it selects and the right-hand side
+of each.  There the signature is one int over a representative vertex per
+class: selected representatives in the low n bits, those asking for odd
+outside degree above them.  Keys are only compared within one node, so the
+two encodings never meet.
 
 Each cut builds its signature function once, from its own constants: a
-loop-free one when every pattern has a single vertex, one that also checks
+loop-free one when every class has a single vertex, one that also checks
 the twin classes, or the reduced-rows one.  A partial solution's defect
 (which vertices constrain the completion, and which need odd outside
 degree) is two masks formed from three constants per problem and node, so
@@ -99,78 +99,68 @@ _SUBSET_KINDS = {
 }
 _MAXIMIZING = {"mos": True, "mes": True, "ds": False, "tds": False}
 
-# A completion signature: an int at a node whose outside patterns are
-# independent, reduced rows otherwise (see `_NodeCut`).
+# A completion signature: an int at a node whose codes are all unit rows,
+# reduced rows otherwise (see `_NodeCut`).
 _Sig = int | tuple[int, ...]
 
 
 class _NodeCut:
-    """Per-node cut data: basis, and A-vertices grouped by outside pattern.
+    """Per-node cut data: basis, and A-vertices grouped by code.
 
-    Only boundary vertices of A can see a B-basis vertex, so every other
-    vertex of A has the zero pattern.
+    Completion equations are written over y_i = |N(a_i) & T| mod 2 for the
+    basis vertices a_1..a_r of `basis` and a completion T <= B.  A vertex
+    of A with code c has the row across the cut that is c's combination of
+    the basis rows, so it sees T with parity <c, y>: its equation row is its
+    code, and a basis vertex's is the unit row ``1 << i``.  The basis rows
+    are independent, so T -> y is onto GF(2)^r: two systems over y have
+    equal solution sets exactly when their completion sets are equal, and
+    the reduced form over y is a canonical signature.
 
-    Completion equations are written over the pattern basis: with the
-    earliest independent patterns p_1..p_r, put y_i = <p_i, x> for the
-    completion code x.  An independent pattern is then the unit row
-    ``1 << i`` and a dependent one is its coordinates over p_1..p_r.  The
-    map x -> y is onto, so two systems over y have equal solution sets
-    exactly when their completion sets over x are equal, and the reduced
-    form over y is still a canonical signature.
+    `classes` maps each code to the vertices of ∂A with that code (equal
+    codes, equal outside neighborhoods), in order of first vertex.  A ∂A
+    row is never zero, so no class has code 0, and the rest of A, with no
+    neighbor across the cut, is `zero_mask`.  A class has a unit code
+    exactly when it holds a basis vertex, so `units` (r classes in all)
+    says that every class is one.
 
-    When every pattern is independent (`units`), each pattern has its own
-    coordinate y_i and y ranges over all of GF(2)^r.  A system that passes
-    the parity checks is then satisfiable, its completion set is fixed by
-    which patterns it selects and the right-hand side of each, and distinct
-    choices give distinct sets.  So the signature is ``sel | odd << n``:
-    sel holds one representative vertex per selected pattern, odd the
-    representatives of those asking for odd outside degree.  A vertex alone
-    in its pattern (a single) represents itself; a pattern shared by
-    several vertices (a twin class) is represented by its lowest vertex.
+    When `units` holds, each class has its own coordinate y_i and y ranges
+    over all of GF(2)^r.  A system that passes the parity checks is then
+    satisfiable, its completion set is fixed by which classes it selects and
+    the right-hand side of each, and distinct choices give distinct sets.
+    So the signature is ``sel | odd << n``: sel holds one representative
+    vertex per selected class, odd the representatives of those asking for
+    odd outside degree.  A vertex alone in its class (a single) represents
+    itself; a class of several vertices (a twin class) is represented by its
+    lowest vertex.
 
-    `coset_sig(d, e)` is the signature of {completion codes fixing (d, e)},
-    or None if that set is empty.  It is one function per cut, built once
+    `coset_sig(d, e)` is the signature of {completions fixing (d, e)}, or
+    None if that set is empty.  It is one function per cut, built once
     from the cut's constants by one of `_mask_sig_twin_free`,
     `_mask_sig_with_twins` (the two `units` cases) or `_rows_sig`, so a
     join pays one call per pair of entries and no attribute lookups.  The
     function holds copies of the constants, not the cut, so a cut is not
     part of a reference cycle.
-
-    The patterns have rank r = `basis.rank` (the cut rank), so the
-    right-hand-side bit ``1 << r`` and `units` need no elimination of their
-    own.  The patterns are the distinct nonzero rows of M = M[A, B-basis
-    vertices].  The r columns of M are the rows of M[B, A] that `CutBasis`
-    chose as a basis, so they are independent; M therefore has row rank r,
-    and its distinct nonzero rows span its row space.  The patterns are
-    eliminated only at a node that is not `units`, where `coordinates` is
-    needed.
     """
 
-    __slots__ = ("a", "b", "basis", "patterns", "zero_mask", "units", "coset_sig")
+    __slots__ = ("a", "b", "basis", "classes", "zero_mask", "units", "coset_sig")
 
-    def __init__(self, g: Graph, a_mask: int, boundary: tuple[int, int]) -> None:
+    def __init__(self, g: Graph, a_mask: int, a_boundary: int) -> None:
         self.a = a_mask
-        self.basis = basis = CutBasis(g, a_mask, boundary)
-        self.b = basis.b_mask
-        profiles = [g.adj[w] & a_mask for w in basis.b_basis_vertices]
-        patterns: dict[int, int] = {}
-        seen = 0
-        for v in vertices_of(basis.a_boundary):
-            bit = 1 << v
-            pat = 0
-            for i, prof in enumerate(profiles):
-                if prof & bit:
-                    pat |= 1 << i
-            if pat:
-                patterns[pat] = patterns.get(pat, 0) | bit
-                seen |= bit
-        self.patterns = patterns
-        self.zero_mask = zero_mask = a_mask & ~seen
-        self.units = len(patterns) == basis.rank
+        self.basis = basis = CutBasis(g, a_mask, a_boundary)
+        self.b = b = basis.b_mask
+        adj = g.adj
+        coordinates = basis.a_dec.coordinates
+        classes: dict[int, int] = {}
+        for v in vertices_of(a_boundary):
+            code = coordinates(adj[v] & b)
+            classes[code] = classes.get(code, 0) | 1 << v
+        self.classes = classes
+        self.zero_mask = zero_mask = a_mask & ~a_boundary
+        self.units = len(classes) == basis.rank
         if self.units:
             singles = 0
-            twins: list[tuple[int, int]] = []  # (vertices with the pattern, lowest one)
-            for pmask in patterns.values():
+            twins: list[tuple[int, int]] = []  # (vertices of the class, lowest one)
+            for pmask in classes.values():
                 if pmask & (pmask - 1):
                     twins.append((pmask, pmask & -pmask))
                 else:
@@ -180,23 +170,19 @@ class _NodeCut:
             else:
                 self.coset_sig = _mask_sig_twin_free(zero_mask, singles, g.n)
         else:
-            pbasis = row_basis(patterns)
-            independent = set(pbasis.basis_row_indices)
-            # (vertices with this pattern, equation row over y, row is a unit)
-            pattern_rows = tuple(
-                (pmask, pbasis.coordinates(pat), i in independent)
-                for i, (pat, pmask) in enumerate(patterns.items())
-            )
-            self.coset_sig = _rows_sig(zero_mask, pattern_rows, 1 << basis.rank)
+            # (vertices of the class, equation row over y, row is a unit)
+            class_rows = tuple((pmask, code, not code & (code - 1))
+                               for code, pmask in classes.items())
+            self.coset_sig = _rows_sig(zero_mask, class_rows, 1 << basis.rank)
 
 
 # The three signature functions of `_NodeCut`.  Each takes (d, e) with e
-# inside d and d inside A.  A vertex in e with no outside basis neighborhood
-# (in `zero_mask`) can never be fixed, and vertices sharing a pattern must
+# inside d and d inside A.  A vertex in e with no neighbor across the cut
+# (in `zero_mask`) can never be fixed, and vertices sharing a code must
 # agree on the required parity; either failure gives None.
 
 def _mask_sig_twin_free(zero_mask: int, singles: int, n: int):
-    """Every pattern has one vertex, so sel = d & singles, and odd = e once
+    """Every class has one vertex, so sel = d & singles, and odd = e once
     e has passed the zero check (A is `zero_mask` plus `singles`)."""
 
     def coset_sig(d: int, e: int) -> _Sig | None:
@@ -209,7 +195,7 @@ def _mask_sig_twin_free(zero_mask: int, singles: int, n: int):
 
 def _mask_sig_with_twins(zero_mask: int, singles: int, twins: tuple[tuple[int, int], ...],
                          n: int):
-    """Some pattern has several vertices: each selected twin class must be
+    """Some class has several vertices: each selected twin class must be
     all odd or all even, and enters through its lowest vertex."""
 
     def coset_sig(d: int, e: int) -> _Sig | None:
@@ -231,11 +217,13 @@ def _mask_sig_with_twins(zero_mask: int, singles: int, twins: tuple[tuple[int, i
     return coset_sig
 
 
-def _rows_sig(zero_mask: int, pattern_rows: tuple[tuple[int, int, bool], ...], rhs_bit: int):
-    """Some pattern is dependent: the reduced rows of the system over y.
+def _rows_sig(zero_mask: int, class_rows: tuple[tuple[int, int, bool], ...], rhs_bit: int):
+    """Some code is not a unit row: the reduced rows of the system over y.
 
-    Unit rows arrive in increasing pivot order and are already reduced, so
-    elimination runs only when a dependent pattern is selected.
+    Unit rows arrive in increasing pivot order (classes are in order of
+    first vertex, and the basis vertices in vertex order) and are already
+    reduced, so elimination runs only when a class with another code is
+    selected.
     """
 
     def coset_sig(d: int, e: int) -> _Sig | None:
@@ -243,7 +231,7 @@ def _rows_sig(zero_mask: int, pattern_rows: tuple[tuple[int, int, bool], ...], r
             return None
         rows: list[int] = []
         units_only = True
-        for pmask, yrow, is_unit in pattern_rows:
+        for pmask, yrow, is_unit in class_rows:
             dm = d & pmask
             if not dm:
                 continue
@@ -495,8 +483,8 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
     t.validate_for(g)
     cuts: dict[int, _NodeCut] = {}
     tables: dict[int, dict] = {}
-    for node, a_mask, a_bd, b_bd in cut_walk(g, t):
-        cut = _NodeCut(g, a_mask, (a_bd, b_bd))
+    for node, a_mask, a_bd, _ in cut_walk(g, t):
+        cut = _NodeCut(g, a_mask, a_bd)
         if t.is_leaf(node):
             u = t.leaf_vertex[node]
             tab = _leaf_table_qcol(cut, u, q) if kind == "qcol" else _leaf_table(cut, u, kind)

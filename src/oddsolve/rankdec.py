@@ -116,30 +116,31 @@ class DecompositionTree(Frozen):
 
 
 class CutBasis:
-    """Deterministic row bases for one cut (A, B) of a graph.
+    """Deterministic row basis for one cut (A, B) of a graph.
 
     Rows of side A are the neighborhoods of A-vertices restricted to B (ints
     over the full vertex range; B-columns only can be set).  The basis picks
-    the earliest independent vertices, so codes are canonical.
+    the earliest independent vertices, so codes are canonical.  Every row of
+    M[A, B] is a combination of the basis rows, and that combination is its
+    code, so this one basis also classifies what B sees of A.
 
     Only a boundary vertex (one with a neighbor across the cut) has a nonzero
-    row, and a zero row never enters an earliest basis, so each side's basis
-    is built from that side's boundary alone, in vertex order.  `boundary`
-    is (∂A, ∂B) when the caller already knows it, as `cut_walk` does.
+    row, and a zero row never enters an earliest basis, so the basis is built
+    from ∂A alone, in vertex order.  `a_boundary` is ∂A when the caller
+    already knows it, as `cut_walk` does.
     """
 
-    def __init__(self, g: Graph, a_mask: int, boundary: tuple[int, int] | None = None) -> None:
+    def __init__(self, g: Graph, a_mask: int, a_boundary: int | None = None) -> None:
         self.a_mask = a_mask
         self.b_mask = g.full_mask & ~a_mask
-        self.a_boundary, self.b_boundary = boundary or _boundaries(g, a_mask)
+        if a_boundary is None:
+            a_boundary = _a_boundary(g, a_mask)
+        self.a_boundary = a_boundary
         self._adj = adj = g.adj
-        a_vertices = vertices_of(self.a_boundary)
-        b_vertices = vertices_of(self.b_boundary)
+        a_vertices = vertices_of(a_boundary)
         self.a_dec = row_basis([adj[v] & self.b_mask for v in a_vertices])
-        self.b_dec = row_basis([adj[w] & a_mask for w in b_vertices])
         self.rank = self.a_dec.rank
         self.a_basis_vertices = tuple(a_vertices[i] for i in self.a_dec.basis_row_indices)
-        self.b_basis_vertices = tuple(b_vertices[i] for i in self.b_dec.basis_row_indices)
 
     def a_code(self, mask: int) -> int:
         """Representative code of a subset of A (bits over a_basis_vertices)."""
@@ -151,18 +152,18 @@ class CutBasis:
         return code
 
 
-def _boundaries(g: Graph, a_mask: int) -> tuple[int, int]:
-    """(∂A, ∂B) of the cut (A, B), scanning only the smaller side."""
+def _a_boundary(g: Graph, a_mask: int) -> int:
+    """∂A of the cut (A, B), scanning only the smaller side."""
     b_mask = g.full_mask & ~a_mask
-    a_smaller = a_mask.bit_count() <= b_mask.bit_count()
-    side, other = (a_mask, b_mask) if a_smaller else (b_mask, a_mask)
-    near = far = 0
-    for v in vertices_of(side):
-        row = g.adj[v] & other
-        if row:
-            near |= 1 << v
-            far |= row
-    return (near, far) if a_smaller else (far, near)
+    near = 0
+    if a_mask.bit_count() <= b_mask.bit_count():
+        for v in vertices_of(a_mask):
+            if g.adj[v] & b_mask:
+                near |= 1 << v
+    else:
+        for w in vertices_of(b_mask):
+            near |= g.adj[w] & a_mask
+    return near
 
 
 def cut_rank(g: Graph, a_mask: int) -> CutBasis:

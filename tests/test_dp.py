@@ -16,7 +16,7 @@ from conftest import (
     rand_graph,
     random_tree,
 )
-from oddsolve import dp
+from oddsolve import dp, rankdec
 from oddsolve.dp import _distinct_orders, _run, _SUBSET_KINDS
 from oddsolve.gf2 import row_basis
 from oddsolve.graph import Graph, gen_family, is_odd_set, mask_lex_less, vertices_of
@@ -385,8 +385,10 @@ def _subset_entries(tab):
 
 
 def _outside_patterns(g: Graph, cut) -> dict[int, int]:
-    """Each A-vertex's neighborhood over the cut's B basis, from scratch."""
-    profiles = [g.adj[w] & cut.a for w in cut.basis.b_basis_vertices]
+    """Each A-vertex's neighborhood over the earliest basis of B's rows
+    (adj[w] & A for w in B, in vertex order), built from scratch."""
+    b_rows = [g.adj[w] & cut.a for w in vertices_of(g.full_mask & ~cut.a)]
+    profiles = [b_rows[i] for i in row_basis(b_rows).basis_row_indices]
     return {v: sum(1 << k for k, prof in enumerate(profiles) if prof >> v & 1)
             for v in vertices_of(cut.a)}
 
@@ -535,6 +537,61 @@ def test_mask_signatures_are_canonical_on_twin_classes():
                     assert sig_of.setdefault(fixes, sig) == sig
                     assert set_of.setdefault(sig, fixes) == fixes
     assert seen["twin"] and seen["mixed"], seen
+
+
+def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
+    """One basis per cut suffices.  With B's earliest basis built from
+    scratch, each A-vertex's outside pattern is its code times an invertible
+    r x r matrix, so at every node: the DP's classes (grouped by code) are
+    the pattern classes in the same first-vertex order, a `_rows_sig` row
+    is the class pattern's coordinates over the earliest pattern basis, and
+    a code is a unit row exactly when its pattern is in that basis."""
+    captured: list[tuple] = []
+    real_rows_sig = dp._rows_sig
+
+    def spy(zero_mask, class_rows, rhs_bit):
+        captured.append(class_rows)
+        return real_rows_sig(zero_mask, class_rows, rhs_bit)
+
+    monkeypatch.setattr(dp, "_rows_sig", spy)
+    rng = random.Random(66)
+    shape_rng = random.Random(660)
+    dependent_nodes = 0
+    for i in range(16):
+        if i % 2:
+            g = _with_false_twins(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.7),
+                                  rng.randrange(1, 4))
+        else:
+            g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        for t in tree_suite(g, rng, shape_rng):
+            collect: dict = {}
+            captured.clear()
+            _run(g, t, "mos", collect=collect)
+            rows_of_cut = iter(captured)
+            for cut, _ in collect.values():
+                pat = _outside_patterns(g, cut)
+                by_pattern: dict[int, int] = {}
+                for v in vertices_of(cut.a):
+                    if pat[v]:
+                        by_pattern[pat[v]] = by_pattern.get(pat[v], 0) | 1 << v
+                assert list(cut.classes.values()) == list(by_pattern.values())
+                assert cut.zero_mask == sum(1 << v for v, pv in pat.items() if not pv)
+                patterns = list(by_pattern)
+                pbasis = row_basis(patterns)
+                in_basis = set(pbasis.basis_row_indices)
+                for k, code in enumerate(cut.classes):
+                    assert (code & (code - 1) == 0) == (k in in_basis)
+                assert cut.units == (len(in_basis) == len(patterns))
+                if cut.units:
+                    continue
+                dependent_nodes += 1
+                rows = next(rows_of_cut)
+                assert [pmask for pmask, _, _ in rows] == list(by_pattern.values())
+                for k, ((_, yrow, is_unit), p) in enumerate(zip(rows, patterns)):
+                    assert yrow == pbasis.coordinates(p)
+                    assert is_unit == (k in in_basis)
+            assert next(rows_of_cut, None) is None
+    assert dependent_nodes
 
 
 def test_table_entries_are_internally_consistent():
@@ -839,20 +896,16 @@ def test_incremental_cuts_match_from_scratch():
                 scratch = cut_rank(g, a)
                 a_rows = [g.adj[v] & b for v in vertices_of(a)]
                 b_rows = [g.adj[w] & a for w in vertices_of(b)]
-                # boundaries by definition, and the earliest bases over all rows
+                # the boundary by definition, and the earliest bases over all rows
                 assert cut.basis.a_boundary == scratch.a_boundary == sum(
                     1 << v for v, row in zip(vertices_of(a), a_rows) if row)
-                assert cut.basis.b_boundary == scratch.b_boundary == sum(
-                    1 << w for w, row in zip(vertices_of(b), b_rows) if row)
                 a_full = row_basis(a_rows)
                 b_full = row_basis(b_rows)
                 assert cut.basis.a_basis_vertices == scratch.a_basis_vertices == tuple(
                     vertices_of(a)[i] for i in a_full.basis_row_indices)
-                assert cut.basis.b_basis_vertices == scratch.b_basis_vertices == tuple(
-                    vertices_of(b)[i] for i in b_full.basis_row_indices)
                 assert cut.basis.rank == scratch.rank == a_full.rank == b_full.rank
                 # patterns over all of A against the from-scratch B basis
-                profiles = [g.adj[w] & a for w in scratch.b_basis_vertices]
+                profiles = [b_rows[i] for i in b_full.basis_row_indices]
                 patterns: dict[int, int] = {}
                 zero = 0
                 for v in vertices_of(a):
@@ -861,11 +914,51 @@ def test_incremental_cuts_match_from_scratch():
                         patterns[pat] = patterns.get(pat, 0) | 1 << v
                     else:
                         zero |= 1 << v
-                assert cut.patterns == patterns
+                # the classes by code are the classes by pattern, in order
+                assert list(cut.classes.values()) == list(patterns.values())
+                for code, pmask in cut.classes.items():
+                    for v in vertices_of(pmask):
+                        assert code == cut.basis.a_code(1 << v)
                 assert cut.zero_mask == zero
                 # _NodeCut takes the patterns' rank to be the cut rank
                 # rather than eliminating them
-                assert row_basis(cut.patterns).rank == cut.basis.rank
-                assert cut.units == (len(cut.patterns) == cut.basis.rank)
+                assert row_basis(patterns).rank == cut.basis.rank
+                assert cut.units == (len(patterns) == cut.basis.rank)
                 s = a & rng.randrange(1 << g.n)
                 assert cut.basis.a_code(s) == scratch.a_code(s)
+
+
+def test_each_cut_runs_one_elimination(monkeypatch):
+    """A node's cut setup eliminates its A side once and nothing else: the
+    classes, `units` and the equation rows all come from that one basis."""
+    per_node: list[int] = []
+    calls: list[int] = []
+
+    def counting_row_basis(rows):
+        calls.append(1)
+        return row_basis(rows)
+
+    real_cut = dp._NodeCut
+
+    def counted_cut(*args):
+        before = len(calls)
+        cut = real_cut(*args)
+        per_node.append(len(calls) - before)
+        return cut
+
+    monkeypatch.setattr(rankdec, "row_basis", counting_row_basis)
+    monkeypatch.setattr(dp, "row_basis", counting_row_basis)
+    monkeypatch.setattr(dp, "_NodeCut", counted_cut)
+    rng = random.Random(67)
+    shape_rng = random.Random(670)
+    dependent = 0
+    for i in range(10):
+        g = rand_graph(rng, rng.randrange(1, 11), rng.uniform(0.2, 0.8))
+        for t in tree_suite(g, rng, shape_rng):
+            for kind in ("mos", "qcol"):
+                per_node.clear()
+                collect: dict = {}
+                _run(g, t, kind, q=2, collect=collect)
+                assert per_node == [1] * len(collect)
+                dependent += sum(not cut.units for cut, _ in collect.values())
+    assert dependent
