@@ -114,8 +114,12 @@ def parse_certificate(text: str, n: int | None = None) -> Certificate:
         kind, args = parts[0], parts[1:]
         try:
             if kind == "problem":
+                if problem is not None:
+                    raise CertificateError(f"line {lineno}: duplicate problem line")
                 (problem,) = args
             elif kind == "value":
+                if value is not None:
+                    raise CertificateError(f"line {lineno}: duplicate value line")
                 (v,) = args
                 value = int(v)
             elif kind == "set":

@@ -17,20 +17,19 @@ row is its code (see `_NodeCut`).  A basis vertex's code is a unit row, so
 a system that selects only classes of basis vertices is already in reduced
 form, and `row_basis` runs only when another class is selected.
 
-At a node where every class holds a basis vertex, every system is such a
-set of unit rows, named by which classes it selects and the right-hand side
-of each.  There the signature is one int over a representative vertex per
-class: selected representatives in the low n bits, those asking for odd
-outside degree above them.  Keys are only compared within one node, so the
-two encodings never meet.
+At a node where every vertex of ∂A is a basis vertex, each class is one
+vertex with its own unit row, and a system is named by which vertices it
+selects and the right-hand side of each.  There the signature is one int:
+the selected vertices in the low n bits, those asking for odd outside
+degree above them.  Keys are only compared within one node, so the two
+encodings never meet.
 
-Each cut builds its signature function once, from its own constants: a
-loop-free one when every class has a single vertex, one that also checks
-the twin classes, or the reduced-rows one.  A partial solution's defect
-(which vertices constrain the completion, and which need odd outside
-degree) is two masks formed from three constants per problem and node, so
-the join makes one call per pair of entries, to the cut's signature
-function.
+Each cut builds its signature function once, from its own constants: the
+loop-free mask one at such a node, the reduced-rows one at every other.  A
+partial solution's defect (which vertices constrain the completion, and
+which need odd outside degree) is two masks formed from three constants
+per problem and node, so the join makes one call per pair of entries, to
+the cut's signature function.
 
 Two partial solutions with equal keys are interchangeable in every
 completion, so each key retains one extremal witness; keys whose completion
@@ -99,8 +98,8 @@ _SUBSET_KINDS = {
 }
 _MAXIMIZING = {"mos": True, "mes": True, "ds": False, "tds": False}
 
-# A completion signature: an int at a node whose codes are all unit rows,
-# reduced rows otherwise (see `_NodeCut`).
+# A completion signature: an int at a node whose ∂A vertices are all basis
+# vertices, reduced rows otherwise (see `_NodeCut`).
 _Sig = int | tuple[int, ...]
 
 
@@ -120,29 +119,25 @@ class _NodeCut:
     codes, equal outside neighborhoods), in order of first vertex.  A ∂A
     row is never zero, so no class has code 0, and the rest of A, with no
     neighbor across the cut, is `zero_mask`.  A class has a unit code
-    exactly when it holds a basis vertex, so `units` (r classes in all)
-    says that every class is one.
+    exactly when it holds a basis vertex.
 
-    When `units` holds, each class has its own coordinate y_i and y ranges
-    over all of GF(2)^r.  A system that passes the parity checks is then
-    satisfiable, its completion set is fixed by which classes it selects and
-    the right-hand side of each, and distinct choices give distinct sets.
-    So the signature is ``sel | odd << n``: sel holds one representative
-    vertex per selected class, odd the representatives of those asking for
-    odd outside degree.  A vertex alone in its class (a single) represents
-    itself; a class of several vertices (a twin class) is represented by its
-    lowest vertex.
+    When every ∂A vertex is a basis vertex (rank = |∂A|), each vertex of ∂A
+    is a class of its own with its own coordinate y_i, and y ranges over
+    all of GF(2)^r.  A system that passes the zero check is then
+    satisfiable, its completion set is fixed by which vertices it selects
+    and the right-hand side of each, and distinct choices give distinct
+    sets.  So the signature is ``sel | odd << n``: sel holds the selected
+    vertices of ∂A, odd those asking for odd outside degree.
 
     `coset_sig(d, e)` is the signature of {completions fixing (d, e)}, or
     None if that set is empty.  It is one function per cut, built once
-    from the cut's constants by one of `_mask_sig_twin_free`,
-    `_mask_sig_with_twins` (the two `units` cases) or `_rows_sig`, so a
-    join pays one call per pair of entries and no attribute lookups.  The
-    function holds copies of the constants, not the cut, so a cut is not
-    part of a reference cycle.
+    from the cut's constants by `_mask_sig_twin_free` (rank = |∂A|) or
+    `_rows_sig` (every other cut), so a join pays one call per pair of
+    entries and no attribute lookups.  The function holds copies of the
+    constants, not the cut, so a cut is not part of a reference cycle.
     """
 
-    __slots__ = ("a", "b", "basis", "classes", "zero_mask", "units", "coset_sig")
+    __slots__ = ("a", "b", "basis", "classes", "zero_mask", "coset_sig")
 
     def __init__(self, g: Graph, a_mask: int, a_boundary: int) -> None:
         self.a = a_mask
@@ -156,19 +151,15 @@ class _NodeCut:
             classes[code] = classes.get(code, 0) | 1 << v
         self.classes = classes
         self.zero_mask = zero_mask = a_mask & ~a_boundary
-        self.units = len(classes) == basis.rank
-        if self.units:
-            singles = 0
-            twins: list[tuple[int, int]] = []  # (vertices of the class, lowest one)
-            for pmask in classes.values():
-                if pmask & (pmask - 1):
-                    twins.append((pmask, pmask & -pmask))
-                else:
-                    singles |= pmask
-            if twins:
-                self.coset_sig = _mask_sig_with_twins(zero_mask, singles, tuple(twins), g.n)
-            else:
-                self.coset_sig = _mask_sig_twin_free(zero_mask, singles, g.n)
+        # Masks exactly when every ∂A vertex is a basis vertex.  A cut
+        # where every class holds a basis vertex but some class holds
+        # several vertices (a twin class) goes to `_rows_sig`: there every
+        # class code is a unit row, and a class's basis vertex is its first
+        # vertex, so the rows arrive in increasing pivot order and
+        # `_rows_sig` returns ``tuple(rows)`` with no elimination, after its
+        # zero-mask and mixed-parity exits.
+        if basis.rank == a_boundary.bit_count():
+            self.coset_sig = _mask_sig_twin_free(zero_mask, a_boundary, g.n)
         else:
             # (vertices of the class, equation row over y, row is a unit)
             class_rows = tuple((pmask, code, not code & (code - 1))
@@ -176,49 +167,27 @@ class _NodeCut:
             self.coset_sig = _rows_sig(zero_mask, class_rows, 1 << basis.rank)
 
 
-# The three signature functions of `_NodeCut`.  Each takes (d, e) with e
+# The two signature functions of `_NodeCut`.  Each takes (d, e) with e
 # inside d and d inside A.  A vertex in e with no neighbor across the cut
 # (in `zero_mask`) can never be fixed, and vertices sharing a code must
 # agree on the required parity; either failure gives None.
 
-def _mask_sig_twin_free(zero_mask: int, singles: int, n: int):
-    """Every class has one vertex, so sel = d & singles, and odd = e once
-    e has passed the zero check (A is `zero_mask` plus `singles`)."""
+def _mask_sig_twin_free(zero_mask: int, a_boundary: int, n: int):
+    """Every class is one basis vertex, so sel = d & a_boundary, and
+    odd = e once e has passed the zero check (A is `zero_mask` plus
+    `a_boundary`)."""
 
     def coset_sig(d: int, e: int) -> _Sig | None:
         if e & zero_mask:
             return None
-        return d & singles | e << n
-
-    return coset_sig
-
-
-def _mask_sig_with_twins(zero_mask: int, singles: int, twins: tuple[tuple[int, int], ...],
-                         n: int):
-    """Some class has several vertices: each selected twin class must be
-    all odd or all even, and enters through its lowest vertex."""
-
-    def coset_sig(d: int, e: int) -> _Sig | None:
-        if e & zero_mask:
-            return None
-        sel = d & singles
-        odd = e & singles
-        for pmask, low in twins:
-            dm = d & pmask
-            if dm:
-                em = e & dm
-                if em:
-                    if em != dm:
-                        return None
-                    odd |= low
-                sel |= low
-        return sel | odd << n
+        return d & a_boundary | e << n
 
     return coset_sig
 
 
 def _rows_sig(zero_mask: int, class_rows: tuple[tuple[int, int, bool], ...], rhs_bit: int):
-    """Some code is not a unit row: the reduced rows of the system over y.
+    """Some ∂A vertex is not a basis vertex: the reduced rows of the
+    system over y.
 
     Unit rows arrive in increasing pivot order (classes are in order of
     first vertex, and the basis vertices in vertex order) and are already

@@ -86,8 +86,7 @@ class Graph(Frozen):
         object.__setattr__(self, "m", m)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   warn_duplicates: bool = True) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph, collapsing duplicate edges and rejecting loops."""
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
@@ -99,9 +98,7 @@ class Graph(Frozen):
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             if adj[u] >> v & 1:
-                if warn_duplicates:
-                    warnings.warn(f"duplicate edge ({u}, {v}) collapsed",
-                                  stacklevel=2)
+                warnings.warn(f"duplicate edge ({u}, {v}) collapsed", stacklevel=2)
                 continue
             adj[u] |= 1 << v
             adj[v] |= 1 << u

@@ -215,7 +215,8 @@ def _case_odd_odd(g: Graph, v1: int, v2: int) -> tuple[int, int]:
     """Both sides odd order: two classes from the odd/even Gallai partitions.
 
     Class 0 unions the even-inducing parts (odd sizes, so the join makes the
-    cross degrees odd); class 1 unions the odd-inducing parts.
+    cross degrees odd); class 1 unions the odd-inducing parts.  The classes
+    cover v1 | v2, which need not be all of g.
     """
     class0 = 0
     class1 = 0
@@ -237,39 +238,26 @@ def join_bound_subgraph(g: Graph, v1: int, v2: int) -> JoinBoundResult:
     chromatic number is undefined, so only the subgraph is produced.
     """
     _check_join(g, v1, v2)
-    n = g.n
-    colors = [0] * n
-    if n % 2 == 0:
-        if v1.bit_count() % 2 == 1:
-            class0, class1 = _case_odd_odd(g, v1, v2)
-            pair = 0
-        else:
-            a = v1 & -v1
-            b = v2 & -v2
-            pair = a | b
-            sub, verts = g.induced(g.full_mask & ~pair)
-            l1 = sum(1 << i for i, v in enumerate(verts) if v1 >> v & 1)
-            l2 = sum(1 << i for i, v in enumerate(verts) if v2 >> v & 1)
-            c0_local, c1_local = _case_odd_odd(sub, l1, l2)
-            class0 = sum(1 << v for i, v in enumerate(verts) if c0_local >> i & 1)
-            class1 = sum(1 << v for i, v in enumerate(verts) if c1_local >> i & 1)
-        for v in vertices_of(class1):
-            colors[v] = 1
-        for v in vertices_of(pair):
-            colors[v] = 2
-        best = class0 if class0.bit_count() >= class1.bit_count() else class1
-        return JoinBoundResult(best, tuple(colors))
-    # odd n: drop the lowest vertex of the even-order side, then as above
-    drop_side, keep_side = (v1, v2) if v1.bit_count() % 2 == 0 else (v2, v1)
-    x = drop_side & -drop_side
-    sub, verts = g.induced(g.full_mask & ~x)
-    l1 = sum(1 << i for i, v in enumerate(verts) if (drop_side & ~x) >> v & 1)
-    l2 = sum(1 << i for i, v in enumerate(verts) if keep_side >> v & 1)
-    c0_local, c1_local = _case_odd_odd(sub, l1, l2)
-    class0 = sum(1 << v for i, v in enumerate(verts) if c0_local >> i & 1)
-    class1 = sum(1 << v for i, v in enumerate(verts) if c1_local >> i & 1)
+    # drop vertices until both sides have odd order: for odd n the lowest
+    # vertex of the even-order side, for even n with even sides the lowest
+    # vertex of each, which then form class 2
+    if g.n % 2:
+        even_side = v2 if v1.bit_count() % 2 else v1
+        drop = even_side & -even_side
+    elif v1.bit_count() % 2:
+        drop = 0
+    else:
+        drop = (v1 & -v1) | (v2 & -v2)
+    class0, class1 = _case_odd_odd(g, v1 & ~drop, v2 & ~drop)
     best = class0 if class0.bit_count() >= class1.bit_count() else class1
-    return JoinBoundResult(best, None)
+    if g.n % 2:
+        return JoinBoundResult(best, None)
+    colors = [0] * g.n
+    for v in vertices_of(class1):
+        colors[v] = 1
+    for v in vertices_of(drop):
+        colors[v] = 2
+    return JoinBoundResult(best, tuple(colors))
 
 
 @dataclass(frozen=True)
@@ -337,7 +325,7 @@ def cograph_odd_3_coloring(g: Graph) -> tuple[int, ...] | CographFailure:
     odd order (the odd chromatic number is undefined there).
     """
     if not _is_cograph(g, g.full_mask):
-        for comp in _components_within(g, g.full_mask):
+        for comp in g.components():
             if not _is_cograph(g, comp):
                 return CographFailure("not-cograph", comp)
         return CographFailure("not-cograph", g.full_mask)

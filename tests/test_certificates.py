@@ -83,6 +83,18 @@ def test_parse_errors():
         parse_certificate("problem chi-odd\nvalue 1\ncolor 1 1\ncolor 3 1\n")
 
 
+def test_duplicate_problem_or_value_lines_are_rejected_by_line():
+    """A second problem or value line is an error, as a second set line is,
+    rather than silently replacing the first."""
+    with pytest.raises(CertificateError, match="line 2: duplicate problem line"):
+        parse_certificate("problem mes\nproblem mos\nvalue 2\nset 1 2\n")
+    with pytest.raises(CertificateError, match="line 3: duplicate value line"):
+        parse_certificate("problem mos\nvalue 2\nvalue 3\nset 1 2\n")
+    # a repeated line is a duplicate even when it says the same thing
+    with pytest.raises(CertificateError, match="line 3: duplicate problem line"):
+        parse_certificate("problem mos\nvalue 2\nproblem mos\nset 1 2\n")
+
+
 def test_verify_set_problems():
     g = gen_family("cycle", 6)
     ok, _ = verify(g, Certificate("mos", 2, vertex_set=0b011))

@@ -321,12 +321,12 @@ def _reference_join(cut, get_x, get_y, tx, ty, ax, ay, kind):
 def test_join_kernel_matches_the_reference_loop():
     """Every node's subset table, joined again from its children's tables
     through the reference loop above, equals the DP's table entry by entry
-    and in the same order.  Each of the three signature functions runs at
+    and in the same order.  Each of the two signature functions runs at
     some joined node."""
     rng = random.Random(68)
     shape_rng = random.Random(680)
     factories = {f"{f.__name__}.<locals>.coset_sig": f.__name__
-                 for f in (dp._mask_sig_twin_free, dp._mask_sig_with_twins, dp._rows_sig)}
+                 for f in (dp._mask_sig_twin_free, dp._rows_sig)}
     ran: set[str] = set()
     joins = 0
     for _ in range(16):
@@ -404,9 +404,10 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
     """At every node, a signature names the set of B-side completion codes
     that fix (d, e): None exactly when no code does, and equal signatures
     exactly when the sets, brute-forced over all 2^rb codes, are equal.
-    A node whose patterns are all independent uses the mask branch.
-    Elsewhere elimination runs only when a pattern outside the earliest
-    pattern basis is selected; all three branches run."""
+    A node whose ∂A vertices are all basis vertices uses the mask function,
+    every other node the rows function.  Elimination runs only when a
+    pattern outside the earliest pattern basis is selected; the mask
+    function and the rows function with and without elimination all run."""
     eliminations: list[int] = []
 
     def counting_row_basis(rows):
@@ -433,7 +434,8 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                 distinct = list(dict.fromkeys(pat[v] for v in avs if pat[v]))
                 earliest = row_basis(distinct).basis_row_indices
                 dependent = set(distinct) - {distinct[k] for k in earliest}
-                assert cut.units == (not dependent)
+                assert (len(cut.classes) == cut.basis.rank) == (not dependent)
+                masks = cut.coset_sig.__qualname__.startswith("_mask_sig_twin_free.")
                 pairs = []
                 if kind == "qcol":
                     for val in tab.values():
@@ -461,7 +463,7 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                     selects_dependent = any(p in dependent for p in classes)
                     assert eliminated == (selects_dependent and not early)
                     if not early:
-                        branches["mask" if cut.units else
+                        branches["mask" if masks else
                                  "elimination" if eliminated else "units"] += 1
                     if not fixes:
                         assert sig is None
@@ -488,11 +490,12 @@ def _with_false_twins(rng: random.Random, n: int, p: float, copies: int) -> Grap
 
 
 def test_mask_signatures_are_canonical_on_twin_classes():
-    """At a node whose outside patterns are all independent, a pattern that
-    two or more A-vertices share (a twin class) enters the mask signature
-    through its lowest vertex.  Over graphs with forced false twins, equal
-    signatures mean equal brute-forced completion sets and back, and None
-    means no completion, including a twin class asked for both parities."""
+    """At a node whose outside patterns are all independent, a pattern may
+    be shared by two or more A-vertices (a twin class).  Over graphs with
+    forced false twins, equal signatures mean equal brute-forced completion
+    sets and back, and None means no completion, including a twin class
+    asked for both parities.  The signature is the mask int exactly where
+    every ∂A vertex is a basis vertex, and a tuple of rows otherwise."""
     rng = random.Random(65)
     shape_rng = random.Random(650)
     seen = {"twin": 0, "mixed": 0}
@@ -503,8 +506,9 @@ def test_mask_signatures_are_canonical_on_twin_classes():
             collect: dict = {}
             _run(g, t, "mos", collect=collect)
             for cut, tab in collect.values():
-                if not cut.units:
+                if len(cut.classes) != cut.basis.rank:
                     continue
+                masks = cut.basis.rank == cut.basis.a_boundary.bit_count()
                 pat = _outside_patterns(g, cut)
                 by_pattern: dict[int, int] = {}
                 for v, pv in pat.items():
@@ -532,11 +536,35 @@ def test_mask_signatures_are_canonical_on_twin_classes():
                         if any(0 != e & d & pmask != d & pmask for pmask in selected):
                             seen["mixed"] += 1
                         continue
-                    assert isinstance(sig, int)
+                    assert isinstance(sig, int if masks else tuple)
                     seen["twin"] += bool(selected)
                     assert sig_of.setdefault(fixes, sig) == sig
                     assert set_of.setdefault(sig, fixes) == fixes
     assert seen["twin"] and seen["mixed"], seen
+
+
+def test_mask_signatures_exactly_where_every_boundary_vertex_is_in_the_basis():
+    """A cut builds `_mask_sig_twin_free` when rank = |∂A| and `_rows_sig`
+    at every other cut, one whose classes all hold a basis vertex but not
+    all alone (a twin class) included, which some cut here is."""
+    rng = random.Random(73)
+    shape_rng = random.Random(730)
+    twin_units = 0
+    for i in range(12):
+        if i % 2:
+            g = _with_false_twins(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.7),
+                                  rng.randrange(1, 4))
+        else:
+            g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        for t in tree_suite(g, rng, shape_rng):
+            collect: dict = {}
+            _run(g, t, "mos", collect=collect)
+            for cut, _ in collect.values():
+                masks = cut.basis.rank == cut.basis.a_boundary.bit_count()
+                factory = dp._mask_sig_twin_free if masks else dp._rows_sig
+                assert cut.coset_sig.__qualname__ == f"{factory.__name__}.<locals>.coset_sig"
+                twin_units += not masks and len(cut.classes) == cut.basis.rank
+    assert twin_units
 
 
 def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
@@ -545,7 +573,8 @@ def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
     r x r matrix, so at every node: the DP's classes (grouped by code) are
     the pattern classes in the same first-vertex order, a `_rows_sig` row
     is the class pattern's coordinates over the earliest pattern basis, and
-    a code is a unit row exactly when its pattern is in that basis."""
+    a code is a unit row exactly when its pattern is in that basis.  Every
+    node but those with rank = |∂A| builds `_rows_sig`."""
     captured: list[tuple] = []
     real_rows_sig = dp._rows_sig
 
@@ -581,10 +610,10 @@ def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
                 in_basis = set(pbasis.basis_row_indices)
                 for k, code in enumerate(cut.classes):
                     assert (code & (code - 1) == 0) == (k in in_basis)
-                assert cut.units == (len(in_basis) == len(patterns))
-                if cut.units:
+                assert (len(cut.classes) == cut.basis.rank) == (len(in_basis) == len(patterns))
+                dependent_nodes += len(in_basis) < len(patterns)
+                if cut.basis.rank == cut.basis.a_boundary.bit_count():
                     continue
-                dependent_nodes += 1
                 rows = next(rows_of_cut)
                 assert [pmask for pmask, _, _ in rows] == list(by_pattern.values())
                 for k, ((_, yrow, is_unit), p) in enumerate(zip(rows, patterns)):
@@ -763,10 +792,10 @@ def _qcol_joins(seed: int, graphs: int):
 def test_qcol_join_matches_the_reference_loop():
     """Every node's q-coloring table, joined again from its children's
     tables through the reference loop above, equals the DP's table entry by
-    entry and in the same order.  Each of the three signature functions
-    runs at some joined node."""
+    entry and in the same order.  Each of the two signature functions runs
+    at some joined node."""
     factories = {f"{f.__name__}.<locals>.coset_sig": f.__name__
-                 for f in (dp._mask_sig_twin_free, dp._mask_sig_with_twins, dp._rows_sig)}
+                 for f in (dp._mask_sig_twin_free, dp._rows_sig)}
     ran: set[str] = set()
     joins = 0
     for g, q, cut, tab, (cx, tx), (cy, ty) in _qcol_joins(71, 16):
@@ -923,14 +952,14 @@ def test_incremental_cuts_match_from_scratch():
                 # _NodeCut takes the patterns' rank to be the cut rank
                 # rather than eliminating them
                 assert row_basis(patterns).rank == cut.basis.rank
-                assert cut.units == (len(patterns) == cut.basis.rank)
+                assert (len(cut.classes) == cut.basis.rank) == (len(patterns) == cut.basis.rank)
                 s = a & rng.randrange(1 << g.n)
                 assert cut.basis.a_code(s) == scratch.a_code(s)
 
 
 def test_each_cut_runs_one_elimination(monkeypatch):
     """A node's cut setup eliminates its A side once and nothing else: the
-    classes, `units` and the equation rows all come from that one basis."""
+    classes and the equation rows all come from that one basis."""
     per_node: list[int] = []
     calls: list[int] = []
 
@@ -960,5 +989,6 @@ def test_each_cut_runs_one_elimination(monkeypatch):
                 collect: dict = {}
                 _run(g, t, kind, q=2, collect=collect)
                 assert per_node == [1] * len(collect)
-                dependent += sum(not cut.units for cut, _ in collect.values())
+                dependent += sum(len(cut.classes) != cut.basis.rank
+                                 for cut, _ in collect.values())
     assert dependent
