@@ -29,7 +29,10 @@ loop-free mask one at such a node, the reduced-rows one at every other.  A
 partial solution's defect (which vertices constrain the completion, and
 which need odd outside degree) is two masks formed from three constants
 per problem and node, so the join makes one call per pair of entries, to
-the cut's signature function.
+the cut's signature function.  Where the parent and both children are
+mask cuts (every leaf is one), it makes none: each child's half of the
+parent signature is an affine bit map of the child's own key, so a pair
+costs an XOR and a mask test (see `_join_masks`).
 
 Two partial solutions with equal keys are interchangeable in every
 completion, so each key retains one extremal witness; keys whose completion
@@ -59,7 +62,8 @@ Both joins lift child code groups with the one function `_lift` and run
 the same group-pair loop, but each keeps its own copy of that loop: the
 subset loop folds pairs into the best witness per key, while the
 q-coloring loop records each pair's parent state.  One shared loop would
-have to branch on which join called it.
+have to branch on which join called it, and for the same reason the
+subset join's mask-cut loop is a copy of its own.
 """
 from __future__ import annotations
 
@@ -127,29 +131,24 @@ class _NodeCut:
     satisfiable, its completion set is fixed by which vertices it selects
     and the right-hand side of each, and distinct choices give distinct
     sets.  So the signature is ``sel | odd << n``: sel holds the selected
-    vertices of ∂A, odd those asking for odd outside degree.
+    vertices of ∂A, odd those asking for odd outside degree.  Such a cut
+    sets `masks`, and its `classes` need no coordinates: ∂A's i-th vertex
+    is the i-th basis vertex, with code ``1 << i``.
 
     `coset_sig(d, e)` is the signature of {completions fixing (d, e)}, or
     None if that set is empty.  It is one function per cut, built once
     from the cut's constants by `_mask_sig_twin_free` (rank = |∂A|) or
-    `_rows_sig` (every other cut), so a join pays one call per pair of
-    entries and no attribute lookups.  The function holds copies of the
+    `_rows_sig` (every other cut), so `_join_table` pays one call per pair
+    of entries and no attribute lookups.  The function holds copies of the
     constants, not the cut, so a cut is not part of a reference cycle.
     """
 
-    __slots__ = ("a", "b", "basis", "classes", "zero_mask", "coset_sig")
+    __slots__ = ("a", "b", "basis", "classes", "zero_mask", "masks", "coset_sig")
 
     def __init__(self, g: Graph, a_mask: int, a_boundary: int) -> None:
         self.a = a_mask
         self.basis = basis = CutBasis(g, a_mask, a_boundary)
         self.b = b = basis.b_mask
-        adj = g.adj
-        coordinates = basis.a_dec.coordinates
-        classes: dict[int, int] = {}
-        for v in vertices_of(a_boundary):
-            code = coordinates(adj[v] & b)
-            classes[code] = classes.get(code, 0) | 1 << v
-        self.classes = classes
         self.zero_mask = zero_mask = a_mask & ~a_boundary
         # Masks exactly when every ∂A vertex is a basis vertex.  A cut
         # where every class holds a basis vertex but some class holds
@@ -158,9 +157,18 @@ class _NodeCut:
         # vertex, so the rows arrive in increasing pivot order and
         # `_rows_sig` returns ``tuple(rows)`` with no elimination, after its
         # zero-mask and mixed-parity exits.
-        if basis.rank == a_boundary.bit_count():
+        self.masks = basis.rank == a_boundary.bit_count()
+        if self.masks:
+            self.classes = {1 << i: 1 << v for i, v in enumerate(basis.a_basis_vertices)}
             self.coset_sig = _mask_sig_twin_free(zero_mask, a_boundary, g.n)
         else:
+            adj = g.adj
+            coordinates = basis.a_dec.coordinates
+            classes: dict[int, int] = {}
+            for v in vertices_of(a_boundary):
+                code = coordinates(adj[v] & b)
+                classes[code] = classes.get(code, 0) | 1 << v
+            self.classes = classes
             # (vertices of the class, equation row over y, row is a unit)
             class_rows = tuple((pmask, code, not code & (code - 1))
                                for code, pmask in classes.items())
@@ -273,19 +281,26 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
     vertices when maximizing, fewer when not, then the lexicographically
     least.  A group that gets no entry is deleted, so a table with no entry
     is still empty.
+
+    Where the parent and both children are mask cuts, `_join_masks` runs
+    the same loop on the children's signatures instead, with no call.
     """
-    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     maximize = _MAXIMIZING[kind]
+    lifted_x = _lift(g, cut, cx, cy.a, tx.items())
+    lifted_y = _lift(g, cut, cy, cx.a, ty.items())
+    if cut.masks and cx.masks and cy.masks:
+        return _join_masks(g.n, cut, lifted_x, lifted_y, maximize)
+    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     coset_sig = cut.coset_sig
     table: dict[int, dict[_Sig, tuple[int, int]]] = {}
-    lifted_y = _lift(g, cut, cy, cx.a, ((c, gy.values()) for c, gy in ty.items()))
-    for up_x, cross_xy, xs in _lift(g, cut, cx, cy.a, ((c, gx.values()) for c, gx in tx.items())):
-        for up_y, cross_yx, ys in lifted_y:
+    for up_x, cross_xy, gx in lifted_x:
+        xs = gx.values()
+        for up_y, cross_yx, gy in lifted_y:
             up = up_x ^ up_y
             group = table.get(up)
             if group is None:
                 group = table[up] = {}
-            for sy, py in ys:
+            for sy, py in gy.values():
                 py ^= cross_xy
                 for sx, px in xs:
                     s = sx | sy
@@ -305,6 +320,64 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
                         elif (nc > oc) != maximize:
                             continue
                     group[sig] = (s, p)
+            if not group:
+                del table[up]
+    return table
+
+
+def _join_masks(n: int, cut: _NodeCut, lifted_x: list, lifted_y: list, maximize: bool):
+    """`_join_table` where the parent and both children are mask cuts: a
+    pair costs an XOR and a mask test on the children's keys.
+
+    A child key is ``sel | e << n`` with sel = D & ∂A and e = E there.  The
+    code is a bijection with S & ∂A at a mask cut, and D & ∂A is fixed by
+    S & ∂A (or is ∂A, for tds), so sel is fixed in a code group.  On A_x the
+    parent's D is D_x and its E is E_x ^ (D_x & c), c the y group's
+    crossing vector on A_x.  c lies in ∂A_x, so D_x & c = sel_x & c, and
+    with K = (sel_x & c) << n, ``sig_x ^ K = sel_x | (E & A_x) << n``.  The
+    parent's signature is ``D & ∂A | E << n``, or None when E meets
+    `zero_mask`, and ∂A <= ∂A_x | ∂A_y.  So the x half fails exactly when
+    ``(sig_x ^ K) & zero_mask << n`` is nonzero, is ``(sig_x ^ K) & M`` with
+    M = ∂A | -(1 << n) otherwise, and the signature is the OR of the halves.
+
+    Per y entry one int holds the y half before its zero check, K_x and the
+    bits of sel_x that M drops, so an XOR with an x key gives the signature
+    plus both halves' zero-mask bits, and one mask test checks both.  Loop
+    order, first-wins, the tie-break and the stored (s, p) are
+    `_join_table`'s, so the table is the same entry by entry.
+    """
+    low = (1 << n) - 1
+    zero, half = cut.zero_mask << n, cut.basis.a_boundary | ~low
+    table: dict[int, dict[_Sig, tuple[int, int]]] = {}
+    for up_x, cross_xy, gx in lifted_x:
+        sel_x = next(iter(gx)) & low
+        xs = gx.items()
+        for up_y, cross_yx, gy in lifted_y:
+            ky = (next(iter(gy)) & low & cross_xy) << n
+            fix = (sel_x & cross_yx) << n ^ sel_x & ~half
+            up = up_x ^ up_y
+            group = table.get(up)
+            if group is None:
+                group = table[up] = {}
+            for hy, (sy, py) in gy.items():
+                hy = (hy ^ ky) & half ^ fix
+                py ^= cross_xy
+                for sig, (sx, px) in xs:
+                    sig ^= hy
+                    if sig & zero:
+                        continue
+                    s = sx | sy
+                    cur = group.get(sig)
+                    if cur is not None:
+                        old = cur[0]
+                        nc, oc = s.bit_count(), old.bit_count()
+                        if nc == oc:
+                            diff = s ^ old
+                            if not s & diff & -diff:  # old holds the lowest differing vertex
+                                continue
+                        elif (nc > oc) != maximize:
+                            continue
+                    group[sig] = (s, (px ^ cross_yx) | py)
             if not group:
                 del table[up]
     return table

@@ -318,22 +318,42 @@ def _reference_join(cut, get_x, get_y, tx, ty, ax, ay, kind):
     return table
 
 
-def test_join_kernel_matches_the_reference_loop():
+def _mask_cut(cut) -> bool:
+    """Every ∂A vertex is a basis vertex (rank = |∂A|)."""
+    return cut.basis.rank == cut.basis.a_boundary.bit_count()
+
+
+def test_join_kernel_matches_the_reference_loop(monkeypatch):
     """Every node's subset table, joined again from its children's tables
     through the reference loop above, equals the DP's table entry by entry
     and in the same order.  Each of the two signature functions runs at
-    some joined node."""
+    some joined node.  `_join_masks` runs exactly at the joins whose parent
+    and children are all mask cuts, and each of the three cases (all mask
+    cuts, a mask parent with a rows child, a rows parent) occurs."""
     rng = random.Random(68)
     shape_rng = random.Random(680)
     factories = {f"{f.__name__}.<locals>.coset_sig": f.__name__
                  for f in (dp._mask_sig_twin_free, dp._rows_sig)}
+    masked: list = []
+    join_masks = dp._join_masks
+
+    def spy(n, cut, *rest):
+        masked.append(cut)
+        return join_masks(n, cut, *rest)
+
+    monkeypatch.setattr(dp, "_join_masks", spy)
     ran: set[str] = set()
-    joins = 0
-    for _ in range(16):
-        g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+    cases: dict[str, int] = {"mask children": 0, "a rows child": 0, "rows parent": 0}
+    for i in range(24):
+        if i % 3 == 2:
+            g = _with_false_twins(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.7),
+                                  rng.randrange(1, 4))
+        else:
+            g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for t in tree_suite(g, rng, shape_rng):
             for kind in ("mos", "mes", "ds", "tds"):
                 collect: dict = {}
+                masked.clear()
                 _run(g, t, kind, collect=collect)
                 for node, (cut, tab) in collect.items():
                     if t.is_leaf(node):
@@ -346,8 +366,71 @@ def test_join_kernel_matches_the_reference_loop():
                     assert [(c, list(gr.items())) for c, gr in tab.items()] == \
                         [(c, list(gr.items())) for c, gr in ref.items()], (kind, node)
                     ran.add(factories[cut.coset_sig.__qualname__])
-                    joins += 1
-    assert joins and ran == set(factories.values()), ran
+                    assert cut.masks == _mask_cut(cut)
+                    case = ("rows parent" if not _mask_cut(cut) else
+                            "mask children" if _mask_cut(cx) and _mask_cut(cy) else
+                            "a rows child")
+                    assert any(c is cut for c in masked) == (case == "mask children"), case
+                    cases[case] += 1
+    assert ran == set(factories.values()), ran
+    assert all(cases.values()), cases
+
+
+def test_mask_halves_are_the_parent_signature():
+    """At a mask parent, a mask child's entry with key sig, against a
+    sibling group whose crossing vector is c on the child, has the half
+    ``(sig ^ K) & M`` with K = (sel & c) << n, sel the key's low n bits
+    (one value per code group) and M = ∂A | -(1 << n).  The half fails
+    ``(sig ^ K) & zero_mask << n`` exactly when the parent's E on that
+    child meets `zero_mask`, and where both children are mask cuts the OR
+    of two passing halves is `coset_sig` of the pair's (D, E), which is
+    None exactly when a half fails."""
+    rng = random.Random(74)
+    shape_rng = random.Random(740)
+    seen = {"fail": 0, "pass": 0, "pairs": 0}
+    for _ in range(10):
+        g = rand_graph(rng, rng.randrange(2, 10), rng.uniform(0.2, 0.8))
+        n = g.n
+        low = (1 << n) - 1
+        for t in tree_suite(g, rng, shape_rng):
+            for kind in ("mos", "mes", "ds", "tds"):
+                collect: dict = {}
+                _run(g, t, kind, collect=collect)
+                for node, (cut, _) in collect.items():
+                    if t.is_leaf(node) or not _mask_cut(cut):
+                        continue
+                    zero = cut.zero_mask << n
+                    half = cut.basis.a_boundary | -(1 << n)
+                    sides = [(collect[c], collect[d]) for c, d in permutations(t.children[node])]
+                    halves = {}  # (child, code, sig, sibling code) -> half or None
+                    for (cc, tc), (cs, ts) in sides:
+                        if not _mask_cut(cc):
+                            continue
+                        lift = _child_map(g, cut, cs, cc.a)
+                        for code, group in tc.items():
+                            assert len({sig & low for sig in group}) == 1
+                            for sig, (s, p) in group.items():
+                                for code_s in ts:
+                                    cross = lift(code_s)[1]
+                                    k = (sig & low & cross) << n
+                                    _, e = _defect(kind, cut.a, s, p ^ cross)
+                                    fails = bool(e & cc.a & cut.zero_mask)
+                                    assert bool((sig ^ k) & zero) == fails
+                                    seen["fail" if fails else "pass"] += 1
+                                    halves[cc.a, code, sig, code_s] = None if fails else (sig ^ k) & half
+                    (cx, tx), (cy, ty) = sides[0]
+                    if not (_mask_cut(cx) and _mask_cut(cy)):
+                        continue
+                    lift_x, lift_y = _child_map(g, cut, cx, cy.a), _child_map(g, cut, cy, cx.a)
+                    for code_x, sig_x, (sx, px) in _subset_entries(tx):
+                        for code_y, sig_y, (sy, py) in _subset_entries(ty):
+                            p = (px ^ lift_y(code_y)[1]) | (py ^ lift_x(code_x)[1])
+                            hx = halves[cx.a, code_x, sig_x, code_y]
+                            hy = halves[cy.a, code_y, sig_y, code_x]
+                            want = None if hx is None or hy is None else hx | hy
+                            assert cut.coset_sig(*_defect(kind, cut.a, sx | sy, p)) == want
+                            seen["pairs"] += 1
+    assert all(seen.values()), seen
 
 
 def test_reduced_rows_are_canonical_over_solution_sets():
