@@ -256,14 +256,18 @@ def _lift(g: Graph, parent: _NodeCut, child: _NodeCut, sibling: int, groups) -> 
 
 
 def _leaf_table(cut: _NodeCut, u: int, kind: str):
+    """The entries S = {} and S = {u}.  The cut's basis is (u,) when u has a
+    neighbor and empty when not, so the code of S is 1 exactly when S meets
+    ∂A: ``(s & ∂A) >> u``, with no call to `CutBasis.a_code`."""
     keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
+    a_boundary = cut.basis.a_boundary
     table: dict[int, dict[_Sig, tuple[int, int]]] = {}
     for s in (0, 1 << u):
         d = (s & keep) ^ set_
         sig = cut.coset_sig(d, d & flip)  # parities P = 0
         if sig is None:
             continue
-        table.setdefault(cut.basis.a_code(s), {})[sig] = (s, 0)
+        table.setdefault((s & a_boundary) >> u, {})[sig] = (s, 0)
     return table
 
 

@@ -5,7 +5,8 @@ the one elimination routine: it pivots on the lowest set bit, i.e. the
 smallest column index, prefers earlier rows, and keeps its rows fully
 reduced, so the basis is the lexicographically earliest one and its reduced
 rows are the canonical form of the row space.  `solve` runs it over the
-columns of a system.  `rank_of` is a rank-only loop kept for speed.
+columns of a system.  `rank_of` is a rank-only loop kept for speed, and
+`single_row_basis` is `row_basis` of one row, which needs no elimination.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ __all__ = [
     "RowBasis",
     "rank_of",
     "row_basis",
+    "single_row_basis",
     "solve",
 ]
 
@@ -82,6 +84,14 @@ def row_basis(rows: Iterable[int]) -> RowBasis:
             elems.append([pivot, cur, combo])
             basis_idx.append(i)
     return RowBasis(tuple(basis_idx), tuple(elems))
+
+
+def single_row_basis(row: int) -> RowBasis:
+    """``row_basis([row])`` without its loops: the empty basis for 0, else
+    `row` alone, pivoting on its lowest bit."""
+    if not row:
+        return RowBasis((), ())
+    return RowBasis((0,), ([row & -row, row, 1],))
 
 
 def rank_of(rows: Iterable[int]) -> int:

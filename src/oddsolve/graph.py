@@ -115,9 +115,9 @@ class Graph(Frozen):
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, ascending."""
         for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            for v in vertices_of(rest):
-                yield (u, v)
+            base = u + 1
+            for v in vertices_of(self.adj[u] >> base):
+                yield (u, base + v)
 
     def components(self) -> list[int]:
         """Connected component vertex masks, ordered by smallest vertex."""

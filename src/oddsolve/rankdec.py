@@ -11,7 +11,7 @@ import heapq
 from typing import Iterator
 
 from ._frozen import Frozen
-from .gf2 import rank_of, row_basis
+from .gf2 import rank_of, row_basis, single_row_basis
 from .graph import Graph, GraphError, vertices_of
 
 __all__ = [
@@ -128,19 +128,32 @@ class CutBasis:
     row, and a zero row never enters an earliest basis, so the basis is built
     from ∂A alone, in vertex order.  `a_boundary` is ∂A when the caller
     already knows it, as `cut_walk` does.
+
+    With at most one boundary vertex no elimination is needed: an empty ∂A
+    gives rank 0 and the empty basis, and ∂A = {v} gives the basis (v,),
+    since v's row is nonzero.  `single_row_basis` gives the basis that
+    `row_basis` would, so codes are the same on either path.
     """
 
     def __init__(self, g: Graph, a_mask: int, a_boundary: int | None = None) -> None:
         self.a_mask = a_mask
-        self.b_mask = g.full_mask & ~a_mask
+        self.b_mask = b_mask = g.full_mask & ~a_mask
         if a_boundary is None:
             a_boundary = _a_boundary(g, a_mask)
         self.a_boundary = a_boundary
         self._adj = adj = g.adj
-        a_vertices = vertices_of(a_boundary)
-        self.a_dec = row_basis([adj[v] & self.b_mask for v in a_vertices])
-        self.rank = self.a_dec.rank
-        self.a_basis_vertices = tuple(a_vertices[i] for i in self.a_dec.basis_row_indices)
+        if a_boundary & (a_boundary - 1):
+            a_vertices = vertices_of(a_boundary)
+            self.a_dec = row_basis([adj[v] & b_mask for v in a_vertices])
+            self.a_basis_vertices = tuple(a_vertices[i] for i in self.a_dec.basis_row_indices)
+        elif a_boundary:
+            v = a_boundary.bit_length() - 1
+            self.a_dec = single_row_basis(adj[v] & b_mask)
+            self.a_basis_vertices = (v,)
+        else:
+            self.a_dec = single_row_basis(0)
+            self.a_basis_vertices = ()
+        self.rank = len(self.a_basis_vertices)
 
     def a_code(self, mask: int) -> int:
         """Representative code of a subset of A (bits over a_basis_vertices)."""
@@ -209,6 +222,10 @@ def cut_walk(g: Graph, t: DecompositionTree) -> Iterator[tuple[int, int, int, in
 def width(g: Graph, t: DecompositionTree, stop_at: int | None = None) -> int:
     """Maximum cut rank over the tree, each rank from the smaller boundary.
 
+    A cut with at most one vertex on either boundary needs no elimination:
+    its rank is 1 if an edge crosses it (∂A nonempty) and 0 otherwise, as
+    a single vertex's row across the cut is nonzero.
+
     With `stop_at`, the walk ends at the first cut whose rank reaches it:
     the result is exact when below `stop_at`, else some rank >= `stop_at`.
     """
@@ -216,7 +233,9 @@ def width(g: Graph, t: DecompositionTree, stop_at: int | None = None) -> int:
     adj = g.adj
     best = 0
     for _, a, a_bd, b_bd in cut_walk(g, t):
-        if a_bd.bit_count() <= b_bd.bit_count():
+        if not (a_bd & (a_bd - 1) and b_bd & (b_bd - 1)):
+            rank = 1 if a_bd else 0
+        elif a_bd.bit_count() <= b_bd.bit_count():
             rank = rank_of(adj[v] & ~a for v in vertices_of(a_bd))
         else:
             rank = rank_of(adj[w] & a for w in vertices_of(b_bd))

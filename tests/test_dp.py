@@ -1042,7 +1042,9 @@ def test_incremental_cuts_match_from_scratch():
 
 def test_each_cut_runs_one_elimination(monkeypatch):
     """A node's cut setup eliminates its A side once and nothing else: the
-    classes and the equation rows all come from that one basis."""
+    classes and the equation rows all come from that one basis.  A cut with
+    at most one boundary vertex runs none, as its basis needs no
+    elimination."""
     per_node: list[int] = []
     calls: list[int] = []
 
@@ -1064,6 +1066,7 @@ def test_each_cut_runs_one_elimination(monkeypatch):
     rng = random.Random(67)
     shape_rng = random.Random(670)
     dependent = 0
+    runs = {0: 0, 1: 0}
     for i in range(10):
         g = rand_graph(rng, rng.randrange(1, 11), rng.uniform(0.2, 0.8))
         for t in tree_suite(g, rng, shape_rng):
@@ -1071,7 +1074,44 @@ def test_each_cut_runs_one_elimination(monkeypatch):
                 per_node.clear()
                 collect: dict = {}
                 _run(g, t, kind, q=2, collect=collect)
-                assert per_node == [1] * len(collect)
+                expect = [1 if cut.basis.a_boundary.bit_count() > 1 else 0
+                          for cut, _ in collect.values()]
+                assert per_node == expect
+                for k in expect:
+                    runs[k] += 1
                 dependent += sum(len(cut.classes) != cut.basis.rank
                                  for cut, _ in collect.values())
     assert dependent
+    assert all(runs.values()), runs
+
+
+def test_cuts_with_one_boundary_vertex_match_elimination():
+    """Where |∂A| <= 1 the cut builds its basis without `row_basis`; it must
+    be the basis that elimination gives, with the same codes."""
+    rng = random.Random(68)
+    shape_rng = random.Random(680)
+    graphs = [rand_graph(rng, rng.randrange(1, 11), rng.uniform(0.1, 0.8)) for _ in range(12)]
+    graphs += [gen_family("path", 2), gen_family("path", 9), gen_family("star", 8),
+               Graph.from_edges(6, []),
+               Graph.from_edges(10, [(0, 1), (1, 2), (1, 3), (5, 6), (6, 8)])]
+    seen = {0: 0, 1: 0}
+    for g in graphs:
+        for t in tree_suite(g, rng, shape_rng):
+            collect: dict = {}
+            _run(g, t, "mos", collect=collect)
+            for cut, _ in collect.values():
+                bd = cut.basis.a_boundary
+                if bd.bit_count() > 1:
+                    continue
+                seen[bd.bit_count()] += 1
+                ref = row_basis([g.adj[v] & cut.b for v in vertices_of(bd)])
+                assert cut.basis.a_dec == ref
+                assert cut.basis.rank == ref.rank == bd.bit_count()
+                assert cut.basis.a_basis_vertices == tuple(vertices_of(bd))
+                for _ in range(4):
+                    s = cut.a & rng.randrange(1 << g.n)
+                    cross = 0
+                    for v in vertices_of(s):
+                        cross ^= g.adj[v] & cut.b
+                    assert cut.basis.a_code(s) == ref.coordinates(cross)
+    assert all(seen.values()), seen

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from oddsolve.gf2 import rank_of, row_basis, solve
+from oddsolve.gf2 import rank_of, row_basis, single_row_basis, solve
 
 
 def apply(cols: list[int], x: int) -> int:
@@ -29,6 +29,13 @@ def test_rank_small_cases():
     assert rank_of([0, 0]) == 0
     assert rank_of([0b1, 0b10, 0b11]) == 2
     assert rank_of([0b111, 0b110, 0b001]) == 2
+
+
+def test_single_row_basis_is_row_basis_of_one_row():
+    rng = random.Random(4)
+    rows = [0, 1, 1 << 70, (1 << 130) - 1] + [rng.randrange(1 << 80) for _ in range(30)]
+    for row in rows:
+        assert single_row_basis(row) == row_basis([row])
 
 
 def test_rank_matches_span_enumeration():

@@ -30,6 +30,17 @@ def test_from_edges_basic():
     assert g.full_mask == 0b1111
 
 
+def test_edges_lists_every_pair_once_on_wide_rows():
+    """Rows of n >= 70 bits span several int digits; `edges` shifts each
+    row down and adds the offset back."""
+    rng = random.Random(12)
+    for _ in range(6):
+        g = rand_graph(rng, rng.randrange(70, 140), rng.uniform(0.02, 0.3))
+        brute = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
+        assert list(g.edges()) == brute
+        assert len(brute) == g.m
+
+
 def test_from_edges_rejects_bad_input():
     with pytest.raises(GraphError):
         Graph.from_edges(3, [(0, 3)])

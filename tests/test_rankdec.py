@@ -254,11 +254,15 @@ def test_width_is_max_over_all_tree_cuts():
                      elimination_tree(g)):
             expect = max(slow_cut_rank(g, m) for m in tree.leaf_masks().values())
             assert width(g, tree) == expect
-    # isolated vertices and several components, over random bracketings
+    # isolated vertices and several components, and paths, a star and a
+    # forest, whose cuts mostly have one boundary vertex, over random
+    # bracketings
     for g in (Graph.from_edges(7, []),
               Graph.from_edges(10, [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8), (8, 6)]),
               Graph.from_edges(12, [(u, v) for u in range(4) for v in range(4, 8)]
-                               + [(9, 10), (10, 11)])):
+                               + [(9, 10), (10, 11)]),
+              gen_family("path", 2), gen_family("path", 9), gen_family("star", 8),
+              Graph.from_edges(10, [(0, 1), (1, 2), (1, 3), (5, 6), (6, 8)])):
         for t in [random_tree(g, shape_rng) for _ in range(5)] + [elimination_tree(g)]:
             expect = max(slow_cut_rank(g, m) for m in t.leaf_masks().values())
             assert width(g, t) == expect
