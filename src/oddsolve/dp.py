@@ -27,23 +27,29 @@ encodings never meet.
 Each cut builds its signature function once, from its own constants: the
 loop-free mask one at such a node, the reduced-rows one at every other.  A
 partial solution's defect (which vertices constrain the completion, and
-which need odd outside degree) is two masks formed from three constants
-per problem and node, so the join makes one call per pair of entries, to
-the cut's signature function.  Where the parent and both children are
-mask cuts (every leaf is one), it makes none: each child's half of the
-parent signature is an affine bit map of the child's own key, so a pair
-costs an XOR and a mask test (see `_join_masks`).
+which need odd outside degree) is two masks, D from two constants per
+problem and node and E from the children's E and crossing vectors, so the
+join makes one call per pair of entries, to the cut's signature function.
+Where the parent and both children are mask cuts (every leaf is one), it
+makes none: each child's half of the parent signature is an affine bit map
+of the child's own key, so a pair costs an XOR and a mask test (see
+`_join_masks`).
 
 Two partial solutions with equal keys are interchangeable in every
-completion, so each key retains one extremal witness; keys whose completion
-system is unsatisfiable are dropped immediately.  At the root the cut is
-(V, {}), both key parts collapse, and the surviving witness is the answer.
+completion, so each key retains one extremal witness S, with what the next
+join needs of its defect and nothing more; keys whose completion system is
+unsatisfiable are dropped immediately.  At the root the cut is (V, {}),
+both key parts collapse, and the surviving witness is the answer.
 
 A subset table (mos, mes, ds, tds) is grouped by the first key part:
-``{code: {sig: (S, parities)}}``.  Every entry of a group shares its code,
-so a join lifts each child code to the parent basis once per group, not
-once per entry, and keys the inner dict on the signature alone.  A group is
-never left empty, so a table is empty exactly when it holds no entry.
+``{code: {sig: S}}`` at a mask cut and ``{code: {sig: (S, E)}}`` at every
+other cut, E = D & (P ^ flip) the odd part of the defect.  The parities P
+matter to a join only through E, and E lies in ∂A once the zero check has
+passed; a mask cut's key holds it as its high half ``sig >> n``, so there
+the value is S alone.  Every entry of a group shares its code, so a join
+lifts each child code to the parent basis once per group, not once per
+entry, and keys the inner dict on the signature alone.  A group is never
+left empty, so a table is empty exactly when it holds no entry.
 
 An odd q-coloring is q odd subsets, one per class, so each class has a
 state (code, signature) as above with the mos defect.  The classes are
@@ -145,10 +151,10 @@ class _NodeCut:
 
     __slots__ = ("a", "b", "basis", "classes", "zero_mask", "masks", "coset_sig")
 
-    def __init__(self, g: Graph, a_mask: int, a_boundary: int) -> None:
+    def __init__(self, g: Graph, a_mask: int, a_boundary: int, b_mask: int) -> None:
         self.a = a_mask
-        self.basis = basis = CutBasis(g, a_mask, a_boundary)
-        self.b = b = basis.b_mask
+        self.b = b = b_mask
+        self.basis = basis = CutBasis(g, a_mask, a_boundary, b_mask)
         self.zero_mask = zero_mask = a_mask & ~a_boundary
         # Masks exactly when every ∂A vertex is a basis vertex.  A cut
         # where every class holds a basis vertex but some class holds
@@ -238,36 +244,47 @@ def _lift(g: Graph, parent: _NodeCut, child: _NodeCut, sibling: int, groups) -> 
     group's crossing vector toggles on the sibling child.
 
     Both depend only on the child code: subsets with equal crossing
-    behavior at the child cut agree on every vertex outside the child.
+    behavior at the child cut agree on every vertex outside the child.  And
+    both are linear in the code, so each child basis vertex v is lifted
+    once, to ``(coordinates(adj[v] & B), adj[v] & sibling)``, and a group
+    XORs the images of its code's bits.  v lies in the parent's A, so its
+    row across the parent cut is a row of that side and lies in the span of
+    the parent basis.
     """
-    rows = [g.adj[v] for v in child.basis.a_basis_vertices]
-    dec = parent.basis.a_dec
+    adj = g.adj
+    coordinates = parent.basis.a_dec.coordinates
     b = parent.b
+    images = []
+    for v in child.basis.a_basis_vertices:
+        up = coordinates(adj[v] & b)
+        assert up is not None, "crossing vector must stay in the parent span"
+        images.append((up, adj[v] & sibling))
     lifted = []
     for code, entries in groups:
-        vec = 0
+        up = cross = 0
         while code:
-            vec ^= rows[(code & -code).bit_length() - 1]
+            up_v, cross_v = images[(code & -code).bit_length() - 1]
+            up ^= up_v
+            cross ^= cross_v
             code &= code - 1
-        up = dec.coordinates(vec & b)
-        assert up is not None, "crossing vector must stay in the parent span"
-        lifted.append((up, vec & sibling, entries))
+        lifted.append((up, cross, entries))
     return lifted
 
 
 def _leaf_table(cut: _NodeCut, u: int, kind: str):
     """The entries S = {} and S = {u}.  The cut's basis is (u,) when u has a
     neighbor and empty when not, so the code of S is 1 exactly when S meets
-    ∂A: ``(s & ∂A) >> u``, with no call to `CutBasis.a_code`."""
+    ∂A: ``(s & ∂A) >> u``, with no call to `CutBasis.a_code`.  That makes
+    rank = |∂A|, a mask cut, so each value is S alone."""
     keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     a_boundary = cut.basis.a_boundary
-    table: dict[int, dict[_Sig, tuple[int, int]]] = {}
+    table: dict[int, dict[_Sig, int]] = {}
     for s in (0, 1 << u):
         d = (s & keep) ^ set_
         sig = cut.coset_sig(d, d & flip)  # parities P = 0
         if sig is None:
             continue
-        table.setdefault((s & a_boundary) >> u, {})[sig] = (s, 0)
+        table.setdefault((s & a_boundary) >> u, {})[sig] = s
     return table
 
 
@@ -277,14 +294,24 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
     What depends on codes alone is hoisted out of the pair loop: `_lift`
     gives each group its parent code and its crossing vector masked to the
     sibling once, the parent code ``up_x ^ up_y`` is formed once per pair
-    of groups, and each y entry's parities are fixed by the x crossing
+    of groups, and each y entry's odd part is fixed by the x crossing
     vector once.  The y entries run outside the x entries.  The pair loop
-    fixes the x parities, forms (D, E) from the kind's (keep, set, flip)
-    constants, makes its one call, to the cut's `coset_sig`, and keeps the
-    better witness under the plain signature in the ``up`` group: more
-    vertices when maximizing, fewer when not, then the lexicographically
-    least.  A group that gets no entry is deleted, so a table with no entry
-    is still empty.
+    forms the parent's (D, E), makes its one call, to the cut's
+    `coset_sig`, and keeps the better witness under the plain signature in
+    the ``up`` group: more vertices when maximizing, fewer when not, then
+    the lexicographically least.  A group that gets no entry is deleted, so
+    a table with no entry is still empty.
+
+    The parities P enter only through E = D & (P ^ flip), so the pair loop
+    works on each child entry's (S, D_x, E_x).  D_x = (S & keep) ^ (set & A_x)
+    is the parent's D on A_x, since keep and set are -1, 0 or A.  E_x is the
+    child's own E: ``sig >> n`` at a mask child, the stored e at a rows
+    child.  On A_x the parent's parities are P_x ^ c_yx, c_yx the y group's
+    crossing vector on A_x, so the parent's E there is E_x ^ (D_x & c_yx),
+    and the parent's (D, E) is the OR of the two sides'.  The stored value
+    is S at a mask parent, whose key holds E, and (S, E) at a rows parent;
+    both are the images of the (S, P) a join on parities would keep, under
+    the same keys in the same order.
 
     Where the parent and both children are mask cuts, `_join_masks` runs
     the same loop on the children's signatures instead, with no call.
@@ -294,28 +321,39 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
     lifted_y = _lift(g, cut, cy, cx.a, ty.items())
     if cut.masks and cx.masks and cy.masks:
         return _join_masks(g.n, cut, lifted_x, lifted_y, maximize)
-    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
+    keep, set_, _ = _SUBSET_KINDS[kind](cut.a)
+    n = g.n
+    sides = []
+    for child, lifted in ((cx, lifted_x), (cy, lifted_y)):
+        set_c = set_ & child.a
+        if child.masks:
+            sides.append([(up, cross, [(s, (s & keep) ^ set_c, sig >> n)
+                                       for sig, s in entries.items()])
+                          for up, cross, entries in lifted])
+        else:
+            sides.append([(up, cross, [(s, (s & keep) ^ set_c, e)
+                                       for s, e in entries.values()])
+                          for up, cross, entries in lifted])
+    rows = not cut.masks
     coset_sig = cut.coset_sig
-    table: dict[int, dict[_Sig, tuple[int, int]]] = {}
-    for up_x, cross_xy, gx in lifted_x:
-        xs = gx.values()
-        for up_y, cross_yx, gy in lifted_y:
+    table: dict[int, dict[_Sig, int | tuple[int, int]]] = {}
+    for up_x, cross_xy, xs in sides[0]:
+        for up_y, cross_yx, ys in sides[1]:
             up = up_x ^ up_y
             group = table.get(up)
             if group is None:
                 group = table[up] = {}
-            for sy, py in gy.values():
-                py ^= cross_xy
-                for sx, px in xs:
-                    s = sx | sy
-                    p = (px ^ cross_yx) | py
-                    d = (s & keep) ^ set_
-                    sig = coset_sig(d, d & (p ^ flip))
+            for sy, dy, ey in ys:
+                ey ^= dy & cross_xy
+                for sx, dx, ex in xs:
+                    e = ex ^ dx & cross_yx | ey
+                    sig = coset_sig(dx | dy, e)
                     if sig is None:
                         continue
+                    s = sx | sy
                     cur = group.get(sig)
                     if cur is not None:
-                        old = cur[0]
+                        old = cur[0] if rows else cur
                         nc, oc = s.bit_count(), old.bit_count()
                         if nc == oc:
                             diff = s ^ old
@@ -323,7 +361,7 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
                                 continue
                         elif (nc > oc) != maximize:
                             continue
-                    group[sig] = (s, p)
+                    group[sig] = (s, e) if rows else s
             if not group:
                 del table[up]
     return table
@@ -346,13 +384,14 @@ def _join_masks(n: int, cut: _NodeCut, lifted_x: list, lifted_y: list, maximize:
 
     Per y entry one int holds the y half before its zero check, K_x and the
     bits of sel_x that M drops, so an XOR with an x key gives the signature
-    plus both halves' zero-mask bits, and one mask test checks both.  Loop
-    order, first-wins, the tie-break and the stored (s, p) are
+    plus both halves' zero-mask bits, and one mask test checks both.  The
+    keys carry every parity the parent needs, so an entry is S alone and a
+    pair stores ``S_x | S_y``.  Loop order, first-wins and the tie-break are
     `_join_table`'s, so the table is the same entry by entry.
     """
     low = (1 << n) - 1
     zero, half = cut.zero_mask << n, cut.basis.a_boundary | ~low
-    table: dict[int, dict[_Sig, tuple[int, int]]] = {}
+    table: dict[int, dict[_Sig, int]] = {}
     for up_x, cross_xy, gx in lifted_x:
         sel_x = next(iter(gx)) & low
         xs = gx.items()
@@ -363,17 +402,15 @@ def _join_masks(n: int, cut: _NodeCut, lifted_x: list, lifted_y: list, maximize:
             group = table.get(up)
             if group is None:
                 group = table[up] = {}
-            for hy, (sy, py) in gy.items():
+            for hy, sy in gy.items():
                 hy = (hy ^ ky) & half ^ fix
-                py ^= cross_xy
-                for sig, (sx, px) in xs:
+                for sig, sx in xs:
                     sig ^= hy
                     if sig & zero:
                         continue
                     s = sx | sy
-                    cur = group.get(sig)
-                    if cur is not None:
-                        old = cur[0]
+                    old = group.get(sig)
+                    if old is not None:
                         nc, oc = s.bit_count(), old.bit_count()
                         if nc == oc:
                             diff = s ^ old
@@ -381,7 +418,7 @@ def _join_masks(n: int, cut: _NodeCut, lifted_x: list, lifted_y: list, maximize:
                                 continue
                         elif (nc > oc) != maximize:
                             continue
-                    group[sig] = (s, (px ^ cross_yx) | py)
+                    group[sig] = s
             if not group:
                 del table[up]
     return table
@@ -423,9 +460,10 @@ def _distinct_orders(states: tuple) -> Iterator[list[int]]:
 
 
 def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
-    """One orbit: u's own class state beside q - 1 empty classes."""
-    leaf = [((code, sig), w) for code, group in _leaf_table(cut, u, "mos").items()
-            for sig, w in group.items()]
+    """One orbit: u's own class state beside q - 1 empty classes.  A class
+    witness is (S, P), and S <= {u} has parities P = 0."""
+    leaf = [((code, sig), (s, 0)) for code, group in _leaf_table(cut, u, "mos").items()
+            for sig, s in group.items()]
     if len(leaf) < 2:  # u cannot lie in an odd class
         return {}
     (empty, empty_w), (own, own_w) = leaf
@@ -527,10 +565,11 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
     `collect`, if a dict, receives {node: (cut, table)} for inspection.
     """
     t.validate_for(g)
+    full = g.full_mask
     cuts: dict[int, _NodeCut] = {}
     tables: dict[int, dict] = {}
     for node, a_mask, a_bd, _ in cut_walk(g, t):
-        cut = _NodeCut(g, a_mask, a_bd)
+        cut = _NodeCut(g, a_mask, a_bd, full & ~a_mask)
         if t.is_leaf(node):
             u = t.leaf_vertex[node]
             tab = _leaf_table_qcol(cut, u, q) if kind == "qcol" else _leaf_table(cut, u, kind)
@@ -556,7 +595,7 @@ def _extract_subset(root_table) -> tuple[int, int] | None:
     code is 0 and the signature is 0 or None, so the table holds at most
     one entry."""
     for group in root_table.values():
-        for s, _ in group.values():
+        for s in group.values():
             return s.bit_count(), s
     return None
 

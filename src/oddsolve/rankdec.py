@@ -126,8 +126,8 @@ class CutBasis:
 
     Only a boundary vertex (one with a neighbor across the cut) has a nonzero
     row, and a zero row never enters an earliest basis, so the basis is built
-    from ∂A alone, in vertex order.  `a_boundary` is ∂A when the caller
-    already knows it, as `cut_walk` does.
+    from ∂A alone, in vertex order.  `a_boundary` is ∂A and `b_mask` is B
+    when the caller already knows them, as a sweep over `cut_walk` does.
 
     With at most one boundary vertex no elimination is needed: an empty ∂A
     gives rank 0 and the empty basis, and ∂A = {v} gives the basis (v,),
@@ -135,9 +135,12 @@ class CutBasis:
     `row_basis` would, so codes are the same on either path.
     """
 
-    def __init__(self, g: Graph, a_mask: int, a_boundary: int | None = None) -> None:
+    def __init__(self, g: Graph, a_mask: int, a_boundary: int | None = None,
+                 b_mask: int | None = None) -> None:
         self.a_mask = a_mask
-        self.b_mask = b_mask = g.full_mask & ~a_mask
+        if b_mask is None:
+            b_mask = g.full_mask & ~a_mask
+        self.b_mask = b_mask
         if a_boundary is None:
             a_boundary = _a_boundary(g, a_mask)
         self.a_boundary = a_boundary

@@ -236,6 +236,12 @@ def _defect(kind: str, a: int, s: int, p: int) -> tuple[int, int]:
     return d, d & (p ^ flip)
 
 
+def _parities(g: Graph, a: int, s: int) -> int:
+    """P of s <= a, recomputed from scratch: the vertices of a with an odd
+    number of neighbors in s."""
+    return sum(1 << v for v in vertices_of(a) if (g.adj[v] & s).bit_count() & 1)
+
+
 # (D, E) as each kind defines it, written out per kind.
 _LAMBDA_DEFECTS = {
     "mos": lambda a, s, p: (s, s & ~p),
@@ -323,11 +329,32 @@ def _mask_cut(cut) -> bool:
     return cut.basis.rank == cut.basis.a_boundary.bit_count()
 
 
+def _with_parities(g: Graph, cut, tab):
+    """A DP subset table in the reference loop's form: each value (s, p),
+    with p recomputed from scratch."""
+    out: dict = {}
+    for code, sig, s, _ in _subset_entries(cut, tab, g.n):
+        out.setdefault(code, {})[sig] = (s, _parities(g, cut.a, s))
+    return out
+
+
+def _image(cut, tab, kind: str):
+    """What the DP keeps of a table of (s, p) values at `cut`: S alone at a
+    mask cut, (S, D & (P ^ flip)) at a rows cut."""
+    if _mask_cut(cut):
+        return {code: {sig: s for sig, (s, _) in group.items()}
+                for code, group in tab.items()}
+    return {code: {sig: (s, _defect(kind, cut.a, s, p)[1]) for sig, (s, p) in group.items()}
+            for code, group in tab.items()}
+
+
 def test_join_kernel_matches_the_reference_loop(monkeypatch):
     """Every node's subset table, joined again from its children's tables
-    through the reference loop above, equals the DP's table entry by entry
-    and in the same order.  Each of the two signature functions runs at
-    some joined node.  `_join_masks` runs exactly at the joins whose parent
+    (with parities recomputed from scratch) through the reference loop
+    above, is the DP's table under `_image`: entry by entry and in the same
+    order, the value S at a mask cut and (S, E) at a rows cut, with E the
+    defect's odd part.  Each of the two signature functions runs at some
+    joined node.  `_join_masks` runs exactly at the joins whose parent
     and children are all mask cuts, and each of the three cases (all mask
     cuts, a mask parent with a rows child, a rows parent) occurs."""
     rng = random.Random(68)
@@ -360,9 +387,10 @@ def test_join_kernel_matches_the_reference_loop(monkeypatch):
                         continue
                     x, y = t.children[node]
                     (cx, tx), (cy, ty) = collect[x], collect[y]
-                    ref = _reference_join(cut, _child_map(g, cut, cx, cy.a),
-                                          _child_map(g, cut, cy, cx.a),
-                                          tx, ty, cx.a, cy.a, kind)
+                    ref = _image(cut, _reference_join(
+                        cut, _child_map(g, cut, cx, cy.a), _child_map(g, cut, cy, cx.a),
+                        _with_parities(g, cx, tx), _with_parities(g, cy, ty),
+                        cx.a, cy.a, kind), kind)
                     assert [(c, list(gr.items())) for c, gr in tab.items()] == \
                         [(c, list(gr.items())) for c, gr in ref.items()], (kind, node)
                     ran.add(factories[cut.coset_sig.__qualname__])
@@ -409,7 +437,8 @@ def test_mask_halves_are_the_parent_signature():
                         lift = _child_map(g, cut, cs, cc.a)
                         for code, group in tc.items():
                             assert len({sig & low for sig in group}) == 1
-                            for sig, (s, p) in group.items():
+                            for sig, s in group.items():
+                                p = _parities(g, cc.a, s)
                                 for code_s in ts:
                                     cross = lift(code_s)[1]
                                     k = (sig & low & cross) << n
@@ -422,14 +451,56 @@ def test_mask_halves_are_the_parent_signature():
                     if not (_mask_cut(cx) and _mask_cut(cy)):
                         continue
                     lift_x, lift_y = _child_map(g, cut, cx, cy.a), _child_map(g, cut, cy, cx.a)
-                    for code_x, sig_x, (sx, px) in _subset_entries(tx):
-                        for code_y, sig_y, (sy, py) in _subset_entries(ty):
+                    for code_x, sig_x, sx, _ in _subset_entries(cx, tx, n):
+                        px = _parities(g, cx.a, sx)
+                        for code_y, sig_y, sy, _ in _subset_entries(cy, ty, n):
+                            py = _parities(g, cy.a, sy)
                             p = (px ^ lift_y(code_y)[1]) | (py ^ lift_x(code_x)[1])
                             hx = halves[cx.a, code_x, sig_x, code_y]
                             hy = halves[cy.a, code_y, sig_y, code_x]
                             want = None if hx is None or hy is None else hx | hy
                             assert cut.coset_sig(*_defect(kind, cut.a, sx | sy, p)) == want
                             seen["pairs"] += 1
+    assert all(seen.values()), seen
+
+
+def test_lift_matches_the_per_code_reference(monkeypatch):
+    """Every group `_lift` returns in a DP, subset and q-coloring joins
+    alike, carries its entries unchanged with the ``(up, cross)`` that
+    `_child_map` computes one code at a time.  Codes with several bits,
+    rows-cut parents and q-coloring joins all occur."""
+    calls: list[tuple] = []
+    real_lift = dp._lift
+
+    def spy(g, parent, child, sibling, groups):
+        groups = list(groups)
+        lifted = real_lift(g, parent, child, sibling, groups)
+        calls.append((g, parent, child, sibling, groups, lifted))
+        return lifted
+
+    monkeypatch.setattr(dp, "_lift", spy)
+    rng = random.Random(75)
+    shape_rng = random.Random(750)
+    seen = {"several bits": 0, "rows parent": 0, "qcol": 0}
+    for i in range(10):
+        if i % 2:
+            g = _with_false_twins(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.7),
+                                  rng.randrange(1, 4))
+        else:
+            g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        for t in tree_suite(g, rng, shape_rng):
+            for kind in ("mos", "ds", "qcol"):
+                calls.clear()
+                _run(g, t, kind, q=2)
+                for g_, parent, child, sibling, groups, lifted in calls:
+                    want = _child_map(g_, parent, child, sibling)
+                    assert len(lifted) == len(groups)
+                    for (code, entries), (up, cross, got) in zip(groups, lifted):
+                        assert (up, cross) == want(code)
+                        assert got is entries
+                        seen["several bits"] += code.bit_count() > 1
+                    seen["rows parent"] += not _mask_cut(parent)
+                    seen["qcol"] += kind == "qcol"
     assert all(seen.values()), seen
 
 
@@ -459,12 +530,18 @@ def test_reduced_rows_are_canonical_over_solution_sets():
             seen[sols] = sig
 
 
-def _subset_entries(tab):
-    """(code, sig, (s, p)) for every entry of a subset table, whose entries
-    are grouped by code as {code: {sig: (s, p)}}."""
+def _subset_entries(cut, tab, n: int):
+    """(code, sig, s, e) for every entry of a subset table at `cut`, whose
+    entries are grouped by code as {code: {sig: value}}.  At a mask cut the
+    value is s and e, the defect's odd part, is the key's high half
+    ``sig >> n``; at a rows cut the value is (s, e)."""
+    masks = _mask_cut(cut)
     for code, group in tab.items():
         for sig, val in group.items():
-            yield code, sig, val
+            if masks:
+                yield code, sig, val, sig >> n
+            else:
+                yield code, sig, *val
 
 
 def _outside_patterns(g: Graph, cut) -> dict[int, int]:
@@ -524,8 +601,8 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                     for val in tab.values():
                         pairs += [(s, s & ~p) for s, p in val]
                 else:
-                    for _, _, val in _subset_entries(tab):
-                        pairs.append(_defect(kind, a, *val))
+                    for _, _, s, _ in _subset_entries(cut, tab, g.n):
+                        pairs.append(_defect(kind, a, s, _parities(g, a, s)))
                 for _ in range(20):
                     d = a & rng.randrange(1 << g.n)
                     pairs.append((d, d & rng.randrange(1 << g.n)))
@@ -598,7 +675,8 @@ def test_mask_signatures_are_canonical_on_twin_classes():
                     if pv:
                         by_pattern[pv] = by_pattern.get(pv, 0) | 1 << v
                 twins = [pmask for pmask in by_pattern.values() if pmask & (pmask - 1)]
-                pairs = [(s, s & ~p) for _, _, (s, p) in _subset_entries(tab)]
+                pairs = [(s, s & ~_parities(g, cut.a, s))
+                         for _, _, s, _ in _subset_entries(cut, tab, g.n)]
                 for _ in range(30):
                     d = cut.a & rng.randrange(1 << g.n)
                     pairs.append((d, d & rng.randrange(1 << g.n)))
@@ -707,7 +785,12 @@ def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
 
 
 def test_table_entries_are_internally_consistent():
+    """Every entry's code and signature are those of its S, and its E, read
+    off the key at a mask cut and stored at a rows cut, is exactly
+    D & (P ^ flip) with P recomputed from scratch.  A value is the int S at
+    a mask cut and the pair (S, E) at a rows cut, and both kinds occur."""
     rng = random.Random(57)
+    seen = {"mask": 0, "rows": 0}
     for _ in range(10):
         g = rand_graph(rng, 7, 0.5)
         t = bfs_tree(g)
@@ -715,16 +798,19 @@ def test_table_entries_are_internally_consistent():
             collect: dict = {}
             _run(g, t, kind, collect=collect)
             for cut, tab in collect.values():
-                for code, sig, (s, p) in _subset_entries(tab):
+                masks = _mask_cut(cut)
+                for group in tab.values():
+                    for val in group.values():
+                        assert isinstance(val, int) if masks else (
+                            isinstance(val, tuple) and len(val) == 2)
+                for code, sig, s, e in _subset_entries(cut, tab, g.n):
                     assert s & ~cut.a == 0
-                    p_re = 0
-                    for v in vertices_of(cut.a):
-                        if bin(g.adj[v] & s).count("1") % 2:
-                            p_re |= 1 << v
-                    assert p == p_re
                     assert code == cut.basis.a_code(s)
-                    d, e = _defect(kind, cut.a, s, p)
+                    d, e_re = _defect(kind, cut.a, s, _parities(g, cut.a, s))
+                    assert e == e_re
                     assert sig == cut.coset_sig(d, e)
+                    seen["mask" if masks else "rows"] += 1
+    assert all(seen.values()), seen
 
 
 def test_subset_tables_hold_no_empty_group():
@@ -759,7 +845,7 @@ def test_subset_tables_hold_no_empty_group():
 
 def _class_state(g: Graph, cut, s: int):
     """(state, parity mask) of one class s <= A, recomputed from scratch."""
-    p = sum(1 << v for v in vertices_of(cut.a) if (g.adj[v] & s).bit_count() & 1)
+    p = _parities(g, cut.a, s)
     return (cut.basis.a_code(s), cut.coset_sig(s, s & ~p)), p
 
 
@@ -966,9 +1052,9 @@ def test_root_survivors_have_no_outstanding_defects():
         collect: dict = {}
         tab = _run(g, t, "mos", collect=collect)
         root_cut, _ = collect[t.root]
-        for code, sig, (s, p) in _subset_entries(tab):
+        for code, sig, s, e in _subset_entries(root_cut, tab, g.n):
             # rank-0 cut at the root: no code, and the empty completion system
-            assert code == 0 and sig == root_cut.coset_sig(0, 0)
+            assert code == 0 and sig == root_cut.coset_sig(0, 0) and e == 0
             assert check_odd_set(g, s)
     # so every root table holds at most one entry, which `_extract_subset`
     # returns without comparing witnesses
@@ -978,9 +1064,10 @@ def test_root_survivors_have_no_outstanding_defects():
         rng.shuffle(order)
         for t in (bfs_tree(g), elimination_tree(g), caterpillar(g, order)):
             for kind in ("mos", "mes", "ds", "tds"):
-                entries = list(_subset_entries(_run(g, t, kind)))
+                entries = [(code, sig) for code, group in _run(g, t, kind).items()
+                           for sig in group]
                 assert len(entries) <= 1, kind
-                for code, sig, _ in entries:
+                for code, sig in entries:
                     assert code == 0 and sig == 0
             for q in (2, 3):
                 assert len(_run(g, t, "qcol", q=q)) <= 1, q
