@@ -36,25 +36,26 @@ of the child's own key, so a pair costs an XOR and a mask test (see
 `_join_masks`).
 
 Two partial solutions with equal keys are interchangeable in every
-completion, so each key retains one extremal witness S, with what the next
-join needs of its defect and nothing more; keys whose completion system is
-unsatisfiable are dropped immediately.  At the root the cut is (V, {}),
-both key parts collapse, and the surviving witness is the answer.
+completion, so each key retains one extremal witness S and nothing more;
+keys whose completion system is unsatisfiable are dropped immediately.  At
+the root the cut is (V, {}), both key parts collapse, and the surviving
+witness is the answer.
 
-A subset table (mos, mes, ds, tds) is grouped by the first key part:
-``{code: {sig: S}}`` at a mask cut and ``{code: {sig: (S, E)}}`` at every
-other cut, E = D & (P ^ flip) the odd part of the defect.  The parities P
-matter to a join only through E, and E lies in ∂A once the zero check has
-passed; a mask cut's key holds it as its high half ``sig >> n``, so there
-the value is S alone.  Every entry of a group shares its code, so a join
-lifts each child code to the parent basis once per group, not once per
-entry, and keys the inner dict on the signature alone.  A group is never
-left empty, so a table is empty exactly when it holds no entry.
+A subset table (mos, mes, ds, tds) is grouped by the first key part as
+``{code: {sig: S}}`` at every cut.  The parities P, P_v = |N(v) & S| mod
+2, matter to a join only through the defect's odd part E = D & (P ^ flip),
+and E lies in ∂A once the zero check has passed.  A join reads E off a
+mask child's key, as its high half ``sig >> n``, and has `_odd_part`
+work it out from S at any other child, one parity per vertex of D & ∂A.
+Every entry of a group shares its code, so a join lifts each child code
+to the parent basis once per group, not once per entry, and keys the inner
+dict on the signature alone.  A group is never left empty, so a table is
+empty exactly when it holds no entry.
 
 An odd q-coloring is q odd subsets, one per class, so each class has a
 state (code, signature) as above with the mos defect.  The classes are
 interchangeable, so a q-coloring key is the sorted tuple of its q class
-states, and the witness stores each class's (S, parities) in the same
+states, and the witness is the tuple of the classes' sets S in the same
 order.  A join tries every distinct arrangement of the y key's multiset
 against the x key; there are at most q!/(m_1!···m_k!) of them when the y
 states occur m_1, ..., m_k times, and q for a leaf.  Each join groups the
@@ -64,8 +65,9 @@ so one pair costs one `coset_sig` call however many keys and arrangements
 it occurs in.  That is sound because the parent state depends only on the
 two child states (see `_join_table_qcol`).
 
-Both joins lift child code groups with the one function `_lift` and run
-the same group-pair loop, but each keeps its own copy of that loop: the
+Both joins lift child code groups with the one function `_lift`, read a
+child's E off its key or from `_odd_part`, and run the same group-pair
+loop on (S, D, E), but each keeps its own copy of that loop: the
 subset loop folds pairs into the best witness per key, while the
 q-coloring loop records each pair's parent state.  One shared loop would
 have to branch on which join called it, and for the same reason the
@@ -111,6 +113,23 @@ _MAXIMIZING = {"mos": True, "mes": True, "ds": False, "tds": False}
 # A completion signature: an int at a node whose ∂A vertices are all basis
 # vertices, reduced rows otherwise (see `_NodeCut`).
 _Sig = int | tuple[int, ...]
+
+
+def _odd_part(adj, s: int, keep: int, set_: int, flip: int, a_boundary: int) -> int:
+    """E = D & (P ^ flip) of a table entry S at its cut, from S alone.
+
+    P_v = |N(v) & S| mod 2 is a function of S, so no table stores it.  An
+    entry in a table passed its cut's zero check, so its E lies in ∂A:
+    only the vertices of D & ∂A are read, one parity each.
+    """
+    d = ((s & keep) ^ set_) & a_boundary
+    e = d & flip
+    while d:
+        low = d & -d
+        if (adj[low.bit_length() - 1] & s).bit_count() & 1:
+            e ^= low
+        d ^= low
+    return e
 
 
 class _NodeCut:
@@ -275,7 +294,7 @@ def _leaf_table(cut: _NodeCut, u: int, kind: str):
     """The entries S = {} and S = {u}.  The cut's basis is (u,) when u has a
     neighbor and empty when not, so the code of S is 1 exactly when S meets
     ∂A: ``(s & ∂A) >> u``, with no call to `CutBasis.a_code`.  That makes
-    rank = |∂A|, a mask cut, so each value is S alone."""
+    rank = |∂A|: a leaf is a mask cut."""
     keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     a_boundary = cut.basis.a_boundary
     table: dict[int, dict[_Sig, int]] = {}
@@ -305,13 +324,13 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
     The parities P enter only through E = D & (P ^ flip), so the pair loop
     works on each child entry's (S, D_x, E_x).  D_x = (S & keep) ^ (set & A_x)
     is the parent's D on A_x, since keep and set are -1, 0 or A.  E_x is the
-    child's own E: ``sig >> n`` at a mask child, the stored e at a rows
-    child.  On A_x the parent's parities are P_x ^ c_yx, c_yx the y group's
-    crossing vector on A_x, so the parent's E there is E_x ^ (D_x & c_yx),
-    and the parent's (D, E) is the OR of the two sides'.  The stored value
-    is S at a mask parent, whose key holds E, and (S, E) at a rows parent;
-    both are the images of the (S, P) a join on parities would keep, under
-    the same keys in the same order.
+    child's own E: ``sig >> n`` at a mask child, `_odd_part` of S at every
+    other child (a child's flip on A_x is the parent's).  On A_x the
+    parent's parities are P_x ^ c_yx, c_yx the y group's crossing vector on
+    A_x, so the parent's E there is E_x ^ (D_x & c_yx), and the parent's
+    (D, E) is the OR of the two sides'.  The stored value is S alone, the
+    witness a join on (S, P) would keep, under the same keys in the same
+    order: P is a function of S.
 
     Where the parent and both children are mask cuts, `_join_masks` runs
     the same loop on the children's signatures instead, with no call.
@@ -321,22 +340,17 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
     lifted_y = _lift(g, cut, cy, cx.a, ty.items())
     if cut.masks and cx.masks and cy.masks:
         return _join_masks(g.n, cut, lifted_x, lifted_y, maximize)
-    keep, set_, _ = _SUBSET_KINDS[kind](cut.a)
-    n = g.n
+    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
+    n, adj = g.n, g.adj
     sides = []
     for child, lifted in ((cx, lifted_x), (cy, lifted_y)):
-        set_c = set_ & child.a
-        if child.masks:
-            sides.append([(up, cross, [(s, (s & keep) ^ set_c, sig >> n)
-                                       for sig, s in entries.items()])
-                          for up, cross, entries in lifted])
-        else:
-            sides.append([(up, cross, [(s, (s & keep) ^ set_c, e)
-                                       for s, e in entries.values()])
-                          for up, cross, entries in lifted])
-    rows = not cut.masks
+        set_c, masks, bd = set_ & child.a, child.masks, child.basis.a_boundary
+        sides.append([(up, cross, [(s, (s & keep) ^ set_c, sig >> n if masks else
+                                    _odd_part(adj, s, keep, set_c, flip, bd))
+                                   for sig, s in entries.items()])
+                      for up, cross, entries in lifted])
     coset_sig = cut.coset_sig
-    table: dict[int, dict[_Sig, int | tuple[int, int]]] = {}
+    table: dict[int, dict[_Sig, int]] = {}
     for up_x, cross_xy, xs in sides[0]:
         for up_y, cross_yx, ys in sides[1]:
             up = up_x ^ up_y
@@ -346,14 +360,12 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
             for sy, dy, ey in ys:
                 ey ^= dy & cross_xy
                 for sx, dx, ex in xs:
-                    e = ex ^ dx & cross_yx | ey
-                    sig = coset_sig(dx | dy, e)
+                    sig = coset_sig(dx | dy, ex ^ dx & cross_yx | ey)
                     if sig is None:
                         continue
                     s = sx | sy
-                    cur = group.get(sig)
-                    if cur is not None:
-                        old = cur[0] if rows else cur
+                    old = group.get(sig)
+                    if old is not None:
                         nc, oc = s.bit_count(), old.bit_count()
                         if nc == oc:
                             diff = s ^ old
@@ -361,7 +373,7 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
                                 continue
                         elif (nc > oc) != maximize:
                             continue
-                    group[sig] = (s, e) if rows else s
+                    group[sig] = s
             if not group:
                 del table[up]
     return table
@@ -385,9 +397,9 @@ def _join_masks(n: int, cut: _NodeCut, lifted_x: list, lifted_y: list, maximize:
     Per y entry one int holds the y half before its zero check, K_x and the
     bits of sel_x that M drops, so an XOR with an x key gives the signature
     plus both halves' zero-mask bits, and one mask test checks both.  The
-    keys carry every parity the parent needs, so an entry is S alone and a
-    pair stores ``S_x | S_y``.  Loop order, first-wins and the tie-break are
-    `_join_table`'s, so the table is the same entry by entry.
+    keys carry every parity the parent needs, so no `_odd_part` call is
+    made and a pair stores ``S_x | S_y``.  Loop order, first-wins and the
+    tie-break are `_join_table`'s, so the table is the same entry by entry.
     """
     low = (1 << n) - 1
     zero, half = cut.zero_mask << n, cut.basis.a_boundary | ~low
@@ -461,8 +473,8 @@ def _distinct_orders(states: tuple) -> Iterator[list[int]]:
 
 def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
     """One orbit: u's own class state beside q - 1 empty classes.  A class
-    witness is (S, P), and S <= {u} has parities P = 0."""
-    leaf = [((code, sig), (s, 0)) for code, group in _leaf_table(cut, u, "mos").items()
+    witness is its set S, as a subset entry is."""
+    leaf = [((code, sig), s) for code, group in _leaf_table(cut, u, "mos").items()
             for sig, s in group.items()]
     if len(leaf) < 2:  # u cannot lie in an odd class
         return {}
@@ -471,19 +483,23 @@ def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
     return {tuple(st for st, _ in classes): tuple(w for _, w in classes)}
 
 
-def _class_states(table, scale: int):
+def _class_states(g: Graph, child: _NodeCut, table, scale: int):
     """The distinct class states of a q-coloring table, grouped by code as a
-    subset table is: per code the entries ``(number * scale, s, p)``, with
-    one witness (s, p) per state, and per key its states' numbers times
-    `scale`.  States are numbered group by group, so a list built from the
-    lifted groups in order is indexed by state number."""
-    groups: dict[int, dict[_Sig, tuple[int, int]]] = {}
+    subset table is: per code the entries ``(number * scale, s, e)``, with
+    one witness s per state and e its mos defect's odd part, and per key its
+    states' numbers times `scale`.  e is ``sig >> n`` at a mask cut and
+    `_odd_part` of s at every other.  States are numbered group by group,
+    so a list built from the lifted groups in order is indexed by state
+    number."""
+    groups: dict[int, dict[_Sig, int]] = {}
     for key, val in table.items():
-        for (code, sig), w in zip(key, val):
-            groups.setdefault(code, {}).setdefault(sig, w)
+        for (code, sig), s in zip(key, val):
+            groups.setdefault(code, {}).setdefault(sig, s)
     number = count(0, scale)
     ids = {(code, sig): next(number) for code, group in groups.items() for sig in group}
-    states = [(code, [(ids[code, sig], s, p) for sig, (s, p) in group.items()])
+    n, adj, masks, bd = g.n, g.adj, child.masks, child.basis.a_boundary
+    states = [(code, [(ids[code, sig], s, sig >> n if masks else _odd_part(adj, s, -1, 0, -1, bd))
+                      for sig, s in group.items()])
               for code, group in groups.items()]
     return states, [[ids[st] for st in key] for key in table]
 
@@ -501,7 +517,8 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
     cannot be completed), by the subset join's group-pair loop with the mos
     defect: each child's states are grouped by code (`_class_states`) and
     lifted by `_lift`, and each pair costs one `coset_sig` call, on one
-    witness of each state.  The arrangement loop then reads that list.
+    witness of each state and its E, formed as in `_join_table`.  The
+    arrangement loop then reads that list.
     This is sound because the parent state is a function of the two child
     states.  A child state (code, sig) fixes the child's completion set,
     since sig is canonical for it, and the code fixes the class's crossing
@@ -513,26 +530,24 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
     parent code is ``up_x ^ up_y``.
 
     The loop order, the early break and first-wins are those of the direct
-    loop, and a new key's witness is built from its own classes, through
-    per-state flip lists, so the table is the same entry by entry.
+    loop, and a new key's witness is the union of its matched classes'
+    sets, so the table is the same entry by entry.
     """
     coset_sig = cut.coset_sig
-    states_y, rows_y = _class_states(ty, 1)
+    states_y, rows_y = _class_states(g, cy, ty, 1)
+    n_y = sum(len(ys) for _, ys in states_y)
+    states_x, rows_x = _class_states(g, cx, tx, n_y)
+    n_x = sum(len(xs) for _, xs in states_x)
     lifted_y = _lift(g, cut, cy, cx.a, states_y)
-    flips_y = [cross for _, cross, ys in lifted_y for _ in ys]
-    n_y = len(flips_y)
-    states_x, rows_x = _class_states(tx, n_y)
     lifted_x = _lift(g, cut, cx, cy.a, states_x)
-    flips_x = [cross for _, cross, xs in lifted_x for _ in xs]
-    parent: list[tuple[int, _Sig] | None] = [None] * (len(flips_x) * n_y)
+    parent: list[tuple[int, _Sig] | None] = [None] * (n_x * n_y)
     for up_x, cross_xy, xs in lifted_x:
         for up_y, cross_yx, ys in lifted_y:
             up = up_x ^ up_y
-            for i_y, sy, py in ys:
-                py ^= cross_xy
-                for i_x, sx, px in xs:
-                    s = sx | sy
-                    sig = coset_sig(s, s & ~((px ^ cross_yx) | py))
+            for i_y, sy, ey in ys:
+                ey ^= sy & cross_xy
+                for i_x, sx, ex in xs:
+                    sig = coset_sig(sx | sy, ex ^ sx & cross_yx | ey)
                     if sig is not None:
                         parent[i_x + i_y] = (up, sig)
     keys_x = list(zip(tx.values(), rows_x))
@@ -550,11 +565,7 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
                 else:
                     key = tuple(sorted(states))
                     if key not in table:
-                        val = []
-                        for (sx, px), j, x_id in zip(valx, order, row_x):
-                            sy, py = valy[j]
-                            val.append((sx | sy, (px ^ flips_y[row_y[j]])
-                                        | (py ^ flips_x[x_id // n_y])))
+                        val = [sx | valy[j] for sx, j in zip(valx, order)]
                         table[key] = tuple(w for _, w in sorted(zip(states, val)))
     return table
 
@@ -642,7 +653,7 @@ def solve_odd_qcol(g: Graph, t: DecompositionTree, q: int) -> tuple[int, ...] | 
     val = next(iter(root_table.values()))
     # number the nonempty classes by first use: the table's class order is
     # the order of class states, which says nothing at the root
-    classes = sorted((s for s, _ in val if s), key=lambda s: s & -s)
+    classes = sorted((s for s in val if s), key=lambda s: s & -s)
     colors = [0] * g.n
     for i, s in enumerate(classes):
         for v in vertices_of(s):

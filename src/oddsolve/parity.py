@@ -123,12 +123,6 @@ class Orientation:
 
     arcs: tuple[tuple[int, int], ...]
 
-    def indegrees(self, n: int) -> list[int]:
-        deg = [0] * n
-        for _, head in self.arcs:
-            deg[head] += 1
-        return deg
-
 
 def orientation_obstruction(g: Graph) -> int | None:
     """Mask of the first component with odd |V_c| + |E_c|, or None."""

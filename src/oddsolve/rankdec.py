@@ -74,10 +74,6 @@ class DecompositionTree(Frozen):
         if seen != ids:
             raise TreeFormatError(f"unreachable nodes: {sorted(ids - seen)}")
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_vertex)
-
     def is_leaf(self, node: int) -> bool:
         return node in self.leaf_vertex
 

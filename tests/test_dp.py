@@ -17,6 +17,7 @@ from conftest import (
     random_tree,
 )
 from oddsolve import dp, rankdec
+from oddsolve.certificates import Certificate, verify
 from oddsolve.dp import _distinct_orders, _run, _SUBSET_KINDS
 from oddsolve.gf2 import row_basis
 from oddsolve.graph import Graph, gen_family, is_odd_set, mask_lex_less, vertices_of
@@ -28,6 +29,7 @@ from oddsolve.oracle import (
     oracle_odd_qcol,
     oracle_odd_tds,
 )
+from oddsolve.parity import odd_two_coloring
 from oddsolve.rankdec import (
     caterpillar,
     cut_rank,
@@ -153,6 +155,45 @@ def test_results_do_not_depend_on_the_tree():
         chis = {None if dp.chi_odd(g, t) is None else dp.chi_odd(g, t)[0]
                 for t in trees}
         assert len(chis) == 1
+
+
+def _narrow_graph(rng: random.Random, n: int, k: int, p: float) -> Graph:
+    """Each vertex joins each of the k vertices before it with probability
+    p, so the natural order has linear width at most k."""
+    return Graph.from_edges(n, [(w, v) for v in range(n) for w in range(max(0, v - k), v)
+                                if rng.random() < p])
+
+
+def test_narrow_graphs_at_scale_agree_across_trees():
+    """Ground truth beyond the oracles' reach, n = 60-160: the mos, mes,
+    odd-ds and odd-tds values and witnesses are the same on the natural
+    caterpillar, the min-degree tree and the BFS caterpillar; an odd
+    2-coloring exists on each tree exactly when `odd_two_coloring` finds
+    one (the paper's polynomial case); and every witness passes the
+    independent certificate checker.  Both 2-coloring outcomes occur."""
+    rng = random.Random(77)
+    problems = ((dp.solve_mos, "mos"), (dp.solve_mes, "mes"),
+                (dp.solve_odd_ds, "odd-ds"), (dp.solve_odd_tds, "odd-tds"))
+    two_colorable = {True: 0, False: 0}
+    for _ in range(12):
+        g = _narrow_graph(rng, rng.randrange(60, 161), 3, rng.uniform(0.4, 0.95))
+        trees = (caterpillar(g, list(range(g.n))), elimination_tree(g), bfs_tree(g))
+        for solver, problem in problems:
+            results = {solver(g, t) for t in trees}
+            assert len(results) == 1, problem
+            res = results.pop()
+            if res is not None:
+                ok, why = verify(g, Certificate(problem, res[0], vertex_set=res[1]))
+                assert ok, (problem, why)
+        feasible = odd_two_coloring(g) is not None
+        two_colorable[feasible] += 1
+        for t in trees:
+            colors = dp.solve_odd_qcol(g, t, 2)
+            assert (colors is not None) == feasible
+            if colors is not None:
+                ok, why = verify(g, Certificate("odd-qcol", 2, coloring=colors))
+                assert ok, why
+    assert all(two_colorable.values()), two_colorable
 
 
 # --------------------------------------------------------- special values
@@ -333,30 +374,25 @@ def _with_parities(g: Graph, cut, tab):
     """A DP subset table in the reference loop's form: each value (s, p),
     with p recomputed from scratch."""
     out: dict = {}
-    for code, sig, s, _ in _subset_entries(cut, tab, g.n):
+    for code, sig, s in _subset_entries(tab):
         out.setdefault(code, {})[sig] = (s, _parities(g, cut.a, s))
     return out
 
 
-def _image(cut, tab, kind: str):
-    """What the DP keeps of a table of (s, p) values at `cut`: S alone at a
-    mask cut, (S, D & (P ^ flip)) at a rows cut."""
-    if _mask_cut(cut):
-        return {code: {sig: s for sig, (s, _) in group.items()}
-                for code, group in tab.items()}
-    return {code: {sig: (s, _defect(kind, cut.a, s, p)[1]) for sig, (s, p) in group.items()}
-            for code, group in tab.items()}
+def _image(tab):
+    """What the DP keeps of a table of (s, p) values: S alone."""
+    return {code: {sig: s for sig, (s, _) in group.items()} for code, group in tab.items()}
 
 
 def test_join_kernel_matches_the_reference_loop(monkeypatch):
     """Every node's subset table, joined again from its children's tables
     (with parities recomputed from scratch) through the reference loop
     above, is the DP's table under `_image`: entry by entry and in the same
-    order, the value S at a mask cut and (S, E) at a rows cut, with E the
-    defect's odd part.  Each of the two signature functions runs at some
-    joined node.  `_join_masks` runs exactly at the joins whose parent
-    and children are all mask cuts, and each of the three cases (all mask
-    cuts, a mask parent with a rows child, a rows parent) occurs."""
+    order, the value S alone at mask and rows cuts alike.  Each of the two
+    signature functions runs at some joined node.  `_join_masks` runs
+    exactly at the joins whose parent and children are all mask cuts, and
+    each of the three cases (all mask cuts, a mask parent with a rows
+    child, a rows parent) occurs."""
     rng = random.Random(68)
     shape_rng = random.Random(680)
     factories = {f"{f.__name__}.<locals>.coset_sig": f.__name__
@@ -387,10 +423,10 @@ def test_join_kernel_matches_the_reference_loop(monkeypatch):
                         continue
                     x, y = t.children[node]
                     (cx, tx), (cy, ty) = collect[x], collect[y]
-                    ref = _image(cut, _reference_join(
+                    ref = _image(_reference_join(
                         cut, _child_map(g, cut, cx, cy.a), _child_map(g, cut, cy, cx.a),
                         _with_parities(g, cx, tx), _with_parities(g, cy, ty),
-                        cx.a, cy.a, kind), kind)
+                        cx.a, cy.a, kind))
                     assert [(c, list(gr.items())) for c, gr in tab.items()] == \
                         [(c, list(gr.items())) for c, gr in ref.items()], (kind, node)
                     ran.add(factories[cut.coset_sig.__qualname__])
@@ -451,9 +487,9 @@ def test_mask_halves_are_the_parent_signature():
                     if not (_mask_cut(cx) and _mask_cut(cy)):
                         continue
                     lift_x, lift_y = _child_map(g, cut, cx, cy.a), _child_map(g, cut, cy, cx.a)
-                    for code_x, sig_x, sx, _ in _subset_entries(cx, tx, n):
+                    for code_x, sig_x, sx in _subset_entries(tx):
                         px = _parities(g, cx.a, sx)
-                        for code_y, sig_y, sy, _ in _subset_entries(cy, ty, n):
+                        for code_y, sig_y, sy in _subset_entries(ty):
                             py = _parities(g, cy.a, sy)
                             p = (px ^ lift_y(code_y)[1]) | (py ^ lift_x(code_x)[1])
                             hx = halves[cx.a, code_x, sig_x, code_y]
@@ -530,18 +566,12 @@ def test_reduced_rows_are_canonical_over_solution_sets():
             seen[sols] = sig
 
 
-def _subset_entries(cut, tab, n: int):
-    """(code, sig, s, e) for every entry of a subset table at `cut`, whose
-    entries are grouped by code as {code: {sig: value}}.  At a mask cut the
-    value is s and e, the defect's odd part, is the key's high half
-    ``sig >> n``; at a rows cut the value is (s, e)."""
-    masks = _mask_cut(cut)
+def _subset_entries(tab):
+    """(code, sig, s) for every entry of a subset table, whose entries are
+    grouped by code as {code: {sig: s}}."""
     for code, group in tab.items():
-        for sig, val in group.items():
-            if masks:
-                yield code, sig, val, sig >> n
-            else:
-                yield code, sig, *val
+        for sig, s in group.items():
+            yield code, sig, s
 
 
 def _outside_patterns(g: Graph, cut) -> dict[int, int]:
@@ -599,9 +629,9 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                 pairs = []
                 if kind == "qcol":
                     for val in tab.values():
-                        pairs += [(s, s & ~p) for s, p in val]
+                        pairs += [(s, s & ~_parities(g, a, s)) for s in val]
                 else:
-                    for _, _, s, _ in _subset_entries(cut, tab, g.n):
+                    for _, _, s in _subset_entries(tab):
                         pairs.append(_defect(kind, a, s, _parities(g, a, s)))
                 for _ in range(20):
                     d = a & rng.randrange(1 << g.n)
@@ -676,7 +706,7 @@ def test_mask_signatures_are_canonical_on_twin_classes():
                         by_pattern[pv] = by_pattern.get(pv, 0) | 1 << v
                 twins = [pmask for pmask in by_pattern.values() if pmask & (pmask - 1)]
                 pairs = [(s, s & ~_parities(g, cut.a, s))
-                         for _, _, s, _ in _subset_entries(cut, tab, g.n)]
+                         for _, _, s in _subset_entries(tab)]
                 for _ in range(30):
                     d = cut.a & rng.randrange(1 << g.n)
                     pairs.append((d, d & rng.randrange(1 << g.n)))
@@ -785,10 +815,10 @@ def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
 
 
 def test_table_entries_are_internally_consistent():
-    """Every entry's code and signature are those of its S, and its E, read
-    off the key at a mask cut and stored at a rows cut, is exactly
-    D & (P ^ flip) with P recomputed from scratch.  A value is the int S at
-    a mask cut and the pair (S, E) at a rows cut, and both kinds occur."""
+    """Every entry's code and signature are those of its S, with (D, E)
+    recomputed from scratch, and at a mask cut the key's high half
+    ``sig >> n`` is exactly that E = D & (P ^ flip).  Every value is the
+    int S, at mask and rows cuts alike, and both kinds of cut occur."""
     rng = random.Random(57)
     seen = {"mask": 0, "rows": 0}
     for _ in range(10):
@@ -799,17 +829,52 @@ def test_table_entries_are_internally_consistent():
             _run(g, t, kind, collect=collect)
             for cut, tab in collect.values():
                 masks = _mask_cut(cut)
-                for group in tab.values():
-                    for val in group.values():
-                        assert isinstance(val, int) if masks else (
-                            isinstance(val, tuple) and len(val) == 2)
-                for code, sig, s, e in _subset_entries(cut, tab, g.n):
+                for code, sig, s in _subset_entries(tab):
+                    assert isinstance(s, int)
                     assert s & ~cut.a == 0
                     assert code == cut.basis.a_code(s)
-                    d, e_re = _defect(kind, cut.a, s, _parities(g, cut.a, s))
-                    assert e == e_re
+                    d, e = _defect(kind, cut.a, s, _parities(g, cut.a, s))
+                    if masks:
+                        assert sig >> g.n == e
                     assert sig == cut.coset_sig(d, e)
                     seen["mask" if masks else "rows"] += 1
+    assert all(seen.values()), seen
+
+
+def test_odd_part_is_the_defects_odd_part_from_scratch():
+    """`dp._odd_part`, which the joins call for E at every child that is not
+    a mask cut, is D & (P ^ flip) with P recomputed from scratch, and lies
+    inside ∂A: for every entry of every subset table (mos, mes, ds, tds)
+    and every class witness of every q-coloring table (mos defect), over
+    graphs with forced false twins among others.  Mask and rows cuts both
+    occur, for subset and q-coloring tables alike."""
+    rng = random.Random(76)
+    shape_rng = random.Random(760)
+    seen = {(table, cut): 0 for table in ("subset", "qcol") for cut in ("mask", "rows")}
+    for i in range(12):
+        if i % 2:
+            g = _with_false_twins(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.7),
+                                  rng.randrange(1, 4))
+        else:
+            g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        for t in tree_suite(g, rng, shape_rng):
+            for kind in ("mos", "mes", "ds", "tds", "qcol"):
+                collect: dict = {}
+                _run(g, t, kind, q=3, collect=collect)
+                defect = "mos" if kind == "qcol" else kind
+                for cut, tab in collect.values():
+                    if kind == "qcol":
+                        sets = {s for val in tab.values() for s in val}
+                    else:
+                        sets = [s for _, _, s in _subset_entries(tab)]
+                    bd = cut.basis.a_boundary
+                    for s in sets:
+                        want = _defect(defect, cut.a, s, _parities(g, cut.a, s))[1]
+                        got = dp._odd_part(g.adj, s, *_SUBSET_KINDS[defect](cut.a), bd)
+                        assert got == want, (kind, s)
+                        assert want & ~bd == 0, (kind, s)
+                        seen["qcol" if kind == "qcol" else "subset",
+                             "mask" if _mask_cut(cut) else "rows"] += 1
     assert all(seen.values()), seen
 
 
@@ -903,21 +968,23 @@ def test_qcol_witnesses_realise_their_keys():
                     assert len(key) == len(val) == q
                     assert list(key) == sorted(key)
                     union = 0
-                    for st, (s, p) in zip(key, val):
+                    for st, s in zip(key, val):
+                        assert isinstance(s, int)
                         assert s & union == 0 and s & ~cut.a == 0
                         union |= s
-                        assert _class_state(g, cut, s) == (st, p)
+                        assert _class_state(g, cut, s)[0] == st
                     assert union == cut.a
 
 
 # The q-coloring join as it was written before the memo: one `coset_sig`
-# call per class of every x key against every arrangement of every y key.
-def _reference_qcol_join(cut, get_x, get_y, tx, ty, ax, ay, q):
+# call per class of every x key against every arrangement of every y key,
+# each class witness (S, P).  The children's P are recomputed from scratch.
+def _reference_qcol_join(g, cut, get_x, get_y, tx, ty, ax, ay, q):
     table: dict = {}
-    lifted_xs = [[(*get_x(c), sx, px) for (c, _), (sx, px) in zip(keyx, valx)]
+    lifted_xs = [[(*get_x(c), sx, _parities(g, ax, sx)) for (c, _), sx in zip(keyx, valx)]
                  for keyx, valx in tx.items()]
     for keyy, valy in ty.items():
-        lifted = [(*get_y(c), sy, py) for (c, _), (sy, py) in zip(keyy, valy)]
+        lifted = [(*get_y(c), sy, _parities(g, ay, sy)) for (c, _), sy in zip(keyy, valy)]
         for order in _distinct_orders(keyy):
             lifted_y = [lifted[i] for i in order]
             for lifted_x in lifted_xs:
@@ -961,16 +1028,17 @@ def _qcol_joins(seed: int, graphs: int):
 def test_qcol_join_matches_the_reference_loop():
     """Every node's q-coloring table, joined again from its children's
     tables through the reference loop above, equals the DP's table entry by
-    entry and in the same order.  Each of the two signature functions runs
-    at some joined node."""
+    entry and in the same order, each class witness (S, P) taken as S
+    alone.  Each of the two signature functions runs at some joined node."""
     factories = {f"{f.__name__}.<locals>.coset_sig": f.__name__
                  for f in (dp._mask_sig_twin_free, dp._rows_sig)}
     ran: set[str] = set()
     joins = 0
     for g, q, cut, tab, (cx, tx), (cy, ty) in _qcol_joins(71, 16):
-        ref = _reference_qcol_join(cut, _child_map(g, cut, cx, cy.a),
+        ref = _reference_qcol_join(g, cut, _child_map(g, cut, cx, cy.a),
                                    _child_map(g, cut, cy, cx.a), tx, ty, cx.a, cy.a, q)
-        assert list(tab.items()) == list(ref.items()), (g.n, q)
+        assert list(tab.items()) == [(key, tuple(s for s, _ in val))
+                                     for key, val in ref.items()], (g.n, q)
         ran.add(factories[cut.coset_sig.__qualname__])
         joins += 1
     assert joins and ran == set(factories.values()), ran
@@ -979,8 +1047,9 @@ def test_qcol_join_matches_the_reference_loop():
 def test_qcol_parent_class_state_is_a_function_of_the_child_states():
     """What the join's table of state pairs relies on: at every join, every
     pair of class witnesses with the same (x state, y state) gives the same
-    parent class state, computed directly, and a completable one is the
-    state of the union recomputed from scratch."""
+    parent class state, computed directly from the witnesses' parities
+    recomputed from scratch, and a completable one is the state of the
+    union recomputed from scratch, with the union's parities."""
     shared = 0
     for g, _, cut, _, (cx, tx), (cy, ty) in _qcol_joins(72, 10):
         get_x = _child_map(g, cut, cx, cy.a)
@@ -989,7 +1058,8 @@ def test_qcol_parent_class_state_is_a_function_of_the_child_states():
         ys = {(st, w) for key, val in ty.items() for st, w in zip(key, val)}
         parent: dict = {}
         witnesses: dict = {}
-        for (stx, (sx, px)), (sty, (sy, py)) in product(xs, ys):
+        for (stx, sx), (sty, sy) in product(xs, ys):
+            px, py = _parities(g, cx.a, sx), _parities(g, cy.a, sy)
             up_x, cross_x = get_x(stx[0])
             up_y, cross_y = get_y(sty[0])
             s = sx | sy
@@ -1052,7 +1122,8 @@ def test_root_survivors_have_no_outstanding_defects():
         collect: dict = {}
         tab = _run(g, t, "mos", collect=collect)
         root_cut, _ = collect[t.root]
-        for code, sig, s, e in _subset_entries(root_cut, tab, g.n):
+        for code, sig, s in _subset_entries(tab):
+            _, e = _defect("mos", root_cut.a, s, _parities(g, root_cut.a, s))
             # rank-0 cut at the root: no code, and the empty completion system
             assert code == 0 and sig == root_cut.coset_sig(0, 0) and e == 0
             assert check_odd_set(g, s)

@@ -48,7 +48,7 @@ def slow_cut_rank(g: Graph, a_mask: int) -> int:
 def test_caterpillar_structure():
     g = gen_family("path", 5)
     t = caterpillar(g, [2, 0, 4, 1, 3])
-    assert t.n_leaves == 5
+    assert len(t.leaf_vertex) == 5
     assert sorted(t.leaf_vertex.values()) == [0, 1, 2, 3, 4]
     post = t.postorder()
     assert post[-1] == t.root
@@ -62,7 +62,7 @@ def test_caterpillar_structure():
 def test_single_vertex_tree():
     g = Graph.from_edges(1, [])
     t = caterpillar(g, [0])
-    assert t.n_leaves == 1 and t.is_leaf(t.root)
+    assert len(t.leaf_vertex) == 1 and t.is_leaf(t.root)
     assert width(g, t) == 0
 
 
@@ -306,7 +306,7 @@ def test_elimination_tree_structure():
         assert elimination_tree(g) == t  # deterministic
     k1 = Graph.from_edges(1, [])
     t = elimination_tree(k1)
-    assert t.n_leaves == 1 and t.is_leaf(t.root) and width(k1, t) == 0
+    assert len(t.leaf_vertex) == 1 and t.is_leaf(t.root) and width(k1, t) == 0
     with pytest.raises(GraphError, match="empty graph has no decomposition tree"):
         elimination_tree(Graph.from_edges(0, []))
 
