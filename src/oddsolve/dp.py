@@ -53,17 +53,18 @@ dict on the signature alone.  A group is never left empty, so a table is
 empty exactly when it holds no entry.
 
 An odd q-coloring is q odd subsets, one per class, so each class has a
-state (code, signature) as above with the mos defect.  The classes are
-interchangeable, so a q-coloring key is the sorted tuple of its q class
-states, and the witness is the tuple of the classes' sets S in the same
-order.  A join tries every distinct arrangement of the y key's multiset
-against the x key; there are at most q!/(m_1!···m_k!) of them when the y
-states occur m_1, ..., m_k times, and q for a leaf.  Each join groups the
-distinct class states of its two child tables by code, as a subset table
-is grouped, and fills a table with the parent state of every pair of them,
-so one pair costs one `coset_sig` call however many keys and arrangements
-it occurs in.  That is sound because the parent state depends only on the
-two child states (see `_join_table_qcol`).
+state (code, signature) as above with the mos defect.  A q-coloring table
+is ``(states, table)``: the node's class states in sorted order, each with
+one witness S, and ``{key: witness}``.  The classes are interchangeable,
+so a key is the sorted tuple of its q classes' state ids, and the witness
+is the tuple of the classes' sets S in the same order.  A join tries
+every distinct arrangement of the y key's multiset against the x key;
+there are at most q!/(m_1!···m_k!) of them when the y states occur m_1,
+..., m_k times, and q for a leaf.  Each join first fills a table with the
+parent state of every pair of child states, so a pair costs one
+`coset_sig` call however many keys and arrangements it occurs in.  That
+is sound because the parent state depends only on the two child states
+(see `_join_table_qcol`).
 
 Both joins lift child code groups with the one function `_lift`, read a
 child's E off its key or from `_odd_part`, and run the same group-pair
@@ -75,8 +76,8 @@ subset join's mask-cut loop is a copy of its own.
 """
 from __future__ import annotations
 
-from itertools import count
-from operator import add
+from itertools import groupby
+from operator import itemgetter, or_
 from typing import Iterator
 
 from .gf2 import row_basis
@@ -472,36 +473,14 @@ def _distinct_orders(states: tuple) -> Iterator[list[int]]:
 
 
 def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
-    """One orbit: u's own class state beside q - 1 empty classes.  A class
-    witness is its set S, as a subset entry is."""
-    leaf = [((code, sig), s) for code, group in _leaf_table(cut, u, "mos").items()
-            for sig, s in group.items()]
-    if len(leaf) < 2:  # u cannot lie in an odd class
-        return {}
-    (empty, empty_w), (own, own_w) = leaf
-    classes = sorted([(own, own_w)] + [(empty, empty_w)] * (q - 1))
-    return {tuple(st for st, _ in classes): tuple(w for _, w in classes)}
-
-
-def _class_states(g: Graph, child: _NodeCut, table, scale: int):
-    """The distinct class states of a q-coloring table, grouped by code as a
-    subset table is: per code the entries ``(number * scale, s, e)``, with
-    one witness s per state and e its mos defect's odd part, and per key its
-    states' numbers times `scale`.  e is ``sig >> n`` at a mask cut and
-    `_odd_part` of s at every other.  States are numbered group by group,
-    so a list built from the lifted groups in order is indexed by state
-    number."""
-    groups: dict[int, dict[_Sig, int]] = {}
-    for key, val in table.items():
-        for (code, sig), s in zip(key, val):
-            groups.setdefault(code, {}).setdefault(sig, s)
-    number = count(0, scale)
-    ids = {(code, sig): next(number) for code, group in groups.items() for sig in group}
-    n, adj, masks, bd = g.n, g.adj, child.masks, child.basis.a_boundary
-    states = [(code, [(ids[code, sig], s, sig >> n if masks else _odd_part(adj, s, -1, 0, -1, bd))
-                      for sig, s in group.items()])
-              for code, group in groups.items()]
-    return states, [[ids[st] for st in key] for key in table]
+    """One orbit: u's own class state beside q - 1 empty classes.  The
+    empty class has code 0 and u's code 1, so the states are in order and
+    the key is ``(0, ..., 0, 1)``."""
+    states = [((code, sig), s) for code, group in _leaf_table(cut, u, "mos").items()
+              for sig, s in group.items()]
+    if len(states) < 2:  # u cannot lie in an odd class
+        return states, {}
+    return states, {(0,) * (q - 1) + (1,): (0,) * (q - 1) + (1 << u,)}
 
 
 def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty):
@@ -512,13 +491,16 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
     and the table of state pairs, even when a y key has q!/(m_1!···m_k!)
     of them.
 
-    First the parent state of every pair of distinct child class states is
-    put in the flat list ``parent[i_x * n_y + i_y]`` (None if the class
-    cannot be completed), by the subset join's group-pair loop with the mos
-    defect: each child's states are grouped by code (`_class_states`) and
-    lifted by `_lift`, and each pair costs one `coset_sig` call, on one
-    witness of each state and its E, formed as in `_join_table`.  The
-    arrangement loop then reads that list.
+    First the parent state of every pair of child states is put in
+    ``pairs[i_y][i_x]`` (None if the class cannot be completed), by the
+    subset join's group-pair loop with the mos defect: each state list's
+    runs of one code are lifted by `_lift`, and a pair costs one
+    `coset_sig` call, on the states' witnesses and their E as in
+    `_join_table`.  The distinct parent states are then sorted, each
+    keeping as witness ``S_x | S_y`` of the first pair that reaches it,
+    and the rows are mapped to their ids.  A state no key uses stays listed.
+    An arrangement picks its y states' rows, and each class position's
+    column of x ids is looked up in its row at once.
     This is sound because the parent state is a function of the two child
     states.  A child state (code, sig) fixes the child's completion set,
     since sig is canonical for it, and the code fixes the class's crossing
@@ -527,51 +509,62 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
     S_y plus T completes S_x at the x cut and S_x plus T completes S_y at
     the y cut, so its completion set depends only on the two codes and the
     two completion sets.  `coset_sig` is canonical for that set, and the
-    parent code is ``up_x ^ up_y``.
+    parent code is ``up_x ^ up_y``.  So any witness of a child state
+    serves.
 
-    The loop order, the early break and first-wins are those of the direct
-    loop, and a new key's witness is the union of its matched classes'
-    sets, so the table is the same entry by entry.
+    Ids are in (code, sig) order, so a key's sorted ids are its sorted
+    states, and sorting (id, witness) pairs orders a value as (state,
+    witness) pairs would.  The loop order and first-wins are those of the
+    direct loop, which drops an arrangement with a None pair, and a new
+    key's witness is the union of its matched classes' sets, so every key
+    decodes to the direct loop's key and the table is the same entry by
+    entry.
     """
+    n, adj = g.n, g.adj
+    sides = []
+    for child, (child_states, _), sibling in ((cx, tx, cy.a), (cy, ty, cx.a)):
+        masks, bd = child.masks, child.basis.a_boundary
+        groups = [(code, [(i, s, sig >> n if masks else _odd_part(adj, s, -1, 0, -1, bd))
+                          for i, ((_, sig), s) in run])
+                  for code, run in groupby(enumerate(child_states), lambda e: e[1][0][0])]
+        sides.append(_lift(g, cut, child, sibling, groups))
     coset_sig = cut.coset_sig
-    states_y, rows_y = _class_states(g, cy, ty, 1)
-    n_y = sum(len(ys) for _, ys in states_y)
-    states_x, rows_x = _class_states(g, cx, tx, n_y)
-    n_x = sum(len(xs) for _, xs in states_x)
-    lifted_y = _lift(g, cut, cy, cx.a, states_y)
-    lifted_x = _lift(g, cut, cx, cy.a, states_x)
-    parent: list[tuple[int, _Sig] | None] = [None] * (n_x * n_y)
-    for up_x, cross_xy, xs in lifted_x:
-        for up_y, cross_yx, ys in lifted_y:
+    pairs = [[None] * len(tx[0]) for _ in ty[0]]
+    witness: dict[tuple[int, _Sig], int] = {}
+    for up_x, cross_xy, xs in sides[0]:
+        for up_y, cross_yx, ys in sides[1]:
             up = up_x ^ up_y
             for i_y, sy, ey in ys:
                 ey ^= sy & cross_xy
+                row = pairs[i_y]
                 for i_x, sx, ex in xs:
                     sig = coset_sig(sx | sy, ex ^ sx & cross_yx | ey)
                     if sig is not None:
-                        parent[i_x + i_y] = (up, sig)
-    keys_x = list(zip(tx.values(), rows_x))
-    table: dict[tuple, tuple] = {}
-    for (keyy, valy), row_y in zip(ty.items(), rows_y):
+                        st = row[i_x] = (up, sig)
+                        witness.setdefault(st, sx | sy)
+    states = sorted(witness.items())
+    ids = {st: i for i, (st, _) in enumerate(states)}
+    pairs = [list(map(ids.get, row)) for row in pairs]
+    second = itemgetter(1)
+    vals_x = list(tx[1].values())
+    columns = list(zip(*tx[1]))  # the x keys' ids at each position
+    table: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for keyy, valy in ty[1].items():
         for order in _distinct_orders(keyy):
-            arranged = [row_y[j] for j in order]
-            for valx, row_x in keys_x:
-                states: list[tuple[int, _Sig]] = []
-                for pair in map(add, row_x, arranged):
-                    st = parent[pair]
-                    if st is None:
-                        break
-                    states.append(st)
-                else:
-                    key = tuple(sorted(states))
-                    if key not in table:
-                        val = [sx | valy[j] for sx, j in zip(valx, order)]
-                        table[key] = tuple(w for _, w in sorted(zip(states, val)))
-    return table
+            ids_at = [map(pairs[keyy[j]].__getitem__, col) for j, col in zip(order, columns)]
+            for key_ids, valx in zip(zip(*ids_at), vals_x):
+                if None in key_ids:
+                    continue
+                key = tuple(sorted(key_ids))
+                if key not in table:
+                    val = map(or_, valx, map(valy.__getitem__, order))
+                    table[key] = tuple(map(second, sorted(zip(key_ids, val))))
+    return states, table
 
 
 def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
-    """Bottom-up sweep; returns the root table (possibly empty).
+    """Bottom-up sweep; returns the root table, or the first table that
+    holds no entry.  A q-coloring table is ``(states, table)``.
 
     `collect`, if a dict, receives {node: (cut, table)} for inspection.
     """
@@ -596,8 +589,8 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
         tables[node] = tab
         if collect is not None:
             collect[node] = (cut, tab)
-        if not tab:
-            return {}
+        if not (tab[1] if kind == "qcol" else tab):
+            return tab
     return tables[t.root]
 
 
@@ -647,7 +640,7 @@ def solve_odd_qcol(g: Graph, t: DecompositionTree, q: int) -> tuple[int, ...] | 
     """
     if q < 1:
         raise ValueError("q must be positive")
-    root_table = _run(g, t, "qcol", q=min(q, g.n))
+    _, root_table = _run(g, t, "qcol", q=min(q, g.n))
     if not root_table:
         return None
     val = next(iter(root_table.values()))

@@ -29,7 +29,7 @@ from oddsolve.oracle import (
     oracle_odd_qcol,
     oracle_odd_tds,
 )
-from oddsolve.parity import odd_two_coloring
+from oddsolve.parity import gallai_even_even, gallai_odd_even, odd_two_coloring
 from oddsolve.rankdec import (
     caterpillar,
     cut_rank,
@@ -167,10 +167,12 @@ def _narrow_graph(rng: random.Random, n: int, k: int, p: float) -> Graph:
 def test_narrow_graphs_at_scale_agree_across_trees():
     """Ground truth beyond the oracles' reach, n = 60-160: the mos, mes,
     odd-ds and odd-tds values and witnesses are the same on the natural
-    caterpillar, the min-degree tree and the BFS caterpillar; an odd
-    2-coloring exists on each tree exactly when `odd_two_coloring` finds
-    one (the paper's polynomial case); and every witness passes the
-    independent certificate checker.  Both 2-coloring outcomes occur."""
+    caterpillar, the min-degree tree and the BFS caterpillar; mos is at
+    least the odd part of `gallai_odd_even`, and mes at least the larger
+    part of `gallai_even_even` (Gallai's theorem); an odd 2-coloring exists
+    on each tree exactly when `odd_two_coloring` finds one (the paper's
+    polynomial case); and every witness passes the independent certificate
+    checker.  Both 2-coloring outcomes occur."""
     rng = random.Random(77)
     problems = ((dp.solve_mos, "mos"), (dp.solve_mes, "mes"),
                 (dp.solve_odd_ds, "odd-ds"), (dp.solve_odd_tds, "odd-tds"))
@@ -178,13 +180,17 @@ def test_narrow_graphs_at_scale_agree_across_trees():
     for _ in range(12):
         g = _narrow_graph(rng, rng.randrange(60, 161), 3, rng.uniform(0.4, 0.95))
         trees = (caterpillar(g, list(range(g.n))), elimination_tree(g), bfs_tree(g))
+        values = {}
         for solver, problem in problems:
             results = {solver(g, t) for t in trees}
             assert len(results) == 1, problem
             res = results.pop()
             if res is not None:
+                values[problem] = res[0]
                 ok, why = verify(g, Certificate(problem, res[0], vertex_set=res[1]))
                 assert ok, (problem, why)
+        assert values["mos"] >= gallai_odd_even(g)[0].bit_count()
+        assert values["mes"] >= max(part.bit_count() for part in gallai_even_even(g))
         feasible = odd_two_coloring(g) is not None
         two_colorable[feasible] += 1
         for t in trees:
@@ -628,7 +634,7 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                 masks = cut.coset_sig.__qualname__.startswith("_mask_sig_twin_free.")
                 pairs = []
                 if kind == "qcol":
-                    for val in tab.values():
+                    for val in _qcol_decoded(tab).values():
                         pairs += [(s, s & ~_parities(g, a, s)) for s in val]
                 else:
                     for _, _, s in _subset_entries(tab):
@@ -864,7 +870,7 @@ def test_odd_part_is_the_defects_odd_part_from_scratch():
                 defect = "mos" if kind == "qcol" else kind
                 for cut, tab in collect.values():
                     if kind == "qcol":
-                        sets = {s for val in tab.values() for s in val}
+                        sets = {s for val in _qcol_decoded(tab).values() for s in val}
                     else:
                         sets = [s for _, _, s in _subset_entries(tab)]
                     bd = cut.basis.a_boundary
@@ -914,6 +920,13 @@ def _class_state(g: Graph, cut, s: int):
     return (cut.basis.a_code(s), cut.coset_sig(s, s & ~p)), p
 
 
+def _qcol_decoded(tab):
+    """A q-coloring table ``(states, table)`` as ``{tuple of (code, sig):
+    witnesses}``, in table order: each state id replaced by its state."""
+    states, table = tab
+    return {tuple(states[i][0] for i in key): val for key, val in table.items()}
+
+
 def test_distinct_orders_visit_each_multiset_permutation_once():
     rng = random.Random(63)
     for _ in range(40):
@@ -951,7 +964,7 @@ def test_qcol_keys_are_the_sorted_class_states_of_every_coloring():
                     states = [state[s] for s in classes]
                     if None not in states:
                         expect.add(tuple(sorted(states)))
-                assert set(tab) == expect, (g.n, q)
+                assert set(_qcol_decoded(tab)) == expect, (g.n, q)
 
 
 def test_qcol_witnesses_realise_their_keys():
@@ -964,7 +977,7 @@ def test_qcol_witnesses_realise_their_keys():
             collect: dict = {}
             _run(g, t, "qcol", q=q, collect=collect)
             for cut, tab in collect.values():
-                for key, val in tab.items():
+                for key, val in _qcol_decoded(tab).items():
                     assert len(key) == len(val) == q
                     assert list(key) == sorted(key)
                     union = 0
@@ -974,6 +987,36 @@ def test_qcol_witnesses_realise_their_keys():
                         union |= s
                         assert _class_state(g, cut, s)[0] == st
                     assert union == cut.a
+
+
+def test_qcol_state_lists_are_sorted_and_witnessed():
+    """Each q-coloring node carries its class states as a strictly
+    increasing list of ((code, sig), S), every key is a sorted tuple of ids
+    indexing that list, and every state's witness S realises its state,
+    recomputed from scratch.  Mask and rows cuts both occur."""
+    rng = random.Random(78)
+    shape_rng = random.Random(780)
+    seen = {"mask": 0, "rows": 0}
+    for i in range(8):
+        if i % 2:
+            g = _with_false_twins(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.7),
+                                  rng.randrange(1, 4))
+        else:
+            g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
+        for t in tree_suite(g, rng, shape_rng):
+            for q in (1, 2, 3, 4):
+                collect: dict = {}
+                _run(g, t, "qcol", q=q, collect=collect)
+                for cut, (states, table) in collect.values():
+                    assert all(a < b for (a, _), (b, _) in zip(states, states[1:]))
+                    for key in table:
+                        assert len(key) == q and list(key) == sorted(key)
+                        assert all(isinstance(i, int) and 0 <= i < len(states) for i in key)
+                    for st, s in states:
+                        assert isinstance(s, int) and s & ~cut.a == 0
+                        assert _class_state(g, cut, s)[0] == st
+                    seen["mask" if _mask_cut(cut) else "rows"] += 1
+    assert all(seen.values()), seen
 
 
 # The q-coloring join as it was written before the memo: one `coset_sig`
@@ -1010,7 +1053,7 @@ def _reference_qcol_join(g, cut, get_x, get_y, tx, ty, ax, ay, q):
 def _qcol_joins(seed: int, graphs: int):
     """(g, q, cut, table, (x cut, x table), (y cut, y table)) at every join
     of a q-coloring DP over random graphs (n <= 10), every tree of
-    `tree_suite` and q = 2, 3, 4."""
+    `tree_suite` and q = 2, 3, 4, each table decoded by `_qcol_decoded`."""
     rng = random.Random(seed)
     shape_rng = random.Random(seed * 10)
     for _ in range(graphs):
@@ -1019,10 +1062,11 @@ def _qcol_joins(seed: int, graphs: int):
             for q in (2, 3, 4):
                 collect: dict = {}
                 _run(g, t, "qcol", q=q, collect=collect)
-                for node, (cut, tab) in collect.items():
+                decoded = {node: (cut, _qcol_decoded(tab)) for node, (cut, tab) in collect.items()}
+                for node, (cut, tab) in decoded.items():
                     if not t.is_leaf(node):
                         x, y = t.children[node]
-                        yield g, q, cut, tab, collect[x], collect[y]
+                        yield g, q, cut, tab, decoded[x], decoded[y]
 
 
 def test_qcol_join_matches_the_reference_loop():
@@ -1094,7 +1138,7 @@ def test_qcol_largest_tables_hold_one_key_per_orbit():
                              (k4sub, bfs_tree(k4sub), 4, 16)):
         collect: dict = {}
         _run(g, t, "qcol", q=q, collect=collect)
-        assert max(len(tab) for _, tab in collect.values()) == largest
+        assert max(len(_qcol_decoded(tab)) for _, tab in collect.values()) == largest
         assert dp.solve_odd_qcol(g, t, q) is not None
 
 
@@ -1141,7 +1185,7 @@ def test_root_survivors_have_no_outstanding_defects():
                 for code, sig in entries:
                     assert code == 0 and sig == 0
             for q in (2, 3):
-                assert len(_run(g, t, "qcol", q=q)) <= 1, q
+                assert len(_qcol_decoded(_run(g, t, "qcol", q=q))) <= 1, q
 
 
 def test_incremental_cuts_match_from_scratch():
