@@ -11,11 +11,12 @@ things that together decide how it can be completed across the cut (A, B):
     (one equation per class of A-vertices with equal code, right-hand side
     in the highest bit), i.e. `gf2.row_basis(rows).reduced_rows()`.
 
-The one basis per cut is the A side's.  The equations are written over
-y_i = |N(a_i) & T| mod 2 for its basis vertices a_i, so a vertex's equation
-row is its code (see `_NodeCut`).  A basis vertex's code is a unit row, so
-a system that selects only classes of basis vertices is already in reduced
-form, and `row_basis` runs only when another class is selected.
+A node's cut is a `rankdec.CutBasis` (see `_NodeCut`): one basis, A's.
+The equations are written over y_i = |N(a_i) & T| mod 2 for its basis
+vertices a_i, so a vertex's equation row is its code.  A basis vertex's
+code is a unit row, so a system that selects only classes of basis vertices
+is already in reduced form, and `row_basis` runs only when another class
+is selected.
 
 At a node where every vertex of ∂A is a basis vertex, each class is one
 vertex with its own unit row, and a system is named by which vertices it
@@ -133,14 +134,15 @@ def _odd_part(adj, s: int, keep: int, set_: int, flip: int, a_boundary: int) -> 
     return e
 
 
-class _NodeCut:
-    """Per-node cut data: basis, and A-vertices grouped by code.
+class _NodeCut(CutBasis):
+    """A node's cut: it inherits its basis, codes and rank from `CutBasis`
+    and adds its A-vertices grouped by code.
 
     Completion equations are written over y_i = |N(a_i) & T| mod 2 for the
-    basis vertices a_1..a_r of `basis` and a completion T <= B.  A vertex
-    of A with code c has the row across the cut that is c's combination of
-    the basis rows, so it sees T with parity <c, y>: its equation row is its
-    code, and a basis vertex's is the unit row ``1 << i``.  The basis rows
+    basis vertices a_1..a_r and a completion T <= B.  A vertex of A with
+    code c has the row across the cut that is c's combination of the basis
+    rows, so it sees T with parity <c, y>: its equation row is its code, and
+    a basis vertex's is the unit row ``1 << i``.  The basis rows
     are independent, so T -> y is onto GF(2)^r: two systems over y have
     equal solution sets exactly when their completion sets are equal, and
     the reduced form over y is a canonical signature.
@@ -169,13 +171,11 @@ class _NodeCut:
     constants, not the cut, so a cut is not part of a reference cycle.
     """
 
-    __slots__ = ("a", "b", "basis", "classes", "zero_mask", "masks", "coset_sig")
+    __slots__ = ("classes", "zero_mask", "masks", "coset_sig")
 
-    def __init__(self, g: Graph, a_mask: int, a_boundary: int, b_mask: int) -> None:
-        self.a = a_mask
-        self.b = b = b_mask
-        self.basis = basis = CutBasis(g, a_mask, a_boundary, b_mask)
-        self.zero_mask = zero_mask = a_mask & ~a_boundary
+    def __init__(self, g: Graph, a: int, a_boundary: int, b: int) -> None:
+        CutBasis.__init__(self, g, a, a_boundary, b)
+        self.zero_mask = zero_mask = a & ~a_boundary
         # Masks exactly when every ∂A vertex is a basis vertex.  A cut
         # where every class holds a basis vertex but some class holds
         # several vertices (a twin class) goes to `_rows_sig`: there every
@@ -183,13 +183,13 @@ class _NodeCut:
         # vertex, so the rows arrive in increasing pivot order and
         # `_rows_sig` returns ``tuple(rows)`` with no elimination, after its
         # zero-mask and mixed-parity exits.
-        self.masks = basis.rank == a_boundary.bit_count()
+        self.masks = self.rank == a_boundary.bit_count()
         if self.masks:
-            self.classes = {1 << i: 1 << v for i, v in enumerate(basis.a_basis_vertices)}
+            self.classes = {1 << i: 1 << v for i, v in enumerate(self.a_basis_vertices)}
             self.coset_sig = _mask_sig_twin_free(zero_mask, a_boundary, g.n)
         else:
             adj = g.adj
-            coordinates = basis.a_dec.coordinates
+            coordinates = self.a_dec.coordinates
             classes: dict[int, int] = {}
             for v in vertices_of(a_boundary):
                 code = coordinates(adj[v] & b)
@@ -198,7 +198,7 @@ class _NodeCut:
             # (vertices of the class, equation row over y, row is a unit)
             class_rows = tuple((pmask, code, not code & (code - 1))
                                for code, pmask in classes.items())
-            self.coset_sig = _rows_sig(zero_mask, class_rows, 1 << basis.rank)
+            self.coset_sig = _rows_sig(zero_mask, class_rows, 1 << self.rank)
 
 
 # The two signature functions of `_NodeCut`.  Each takes (d, e) with e
@@ -272,10 +272,10 @@ def _lift(g: Graph, parent: _NodeCut, child: _NodeCut, sibling: int, groups) -> 
     the parent basis.
     """
     adj = g.adj
-    coordinates = parent.basis.a_dec.coordinates
+    coordinates = parent.a_dec.coordinates
     b = parent.b
     images = []
-    for v in child.basis.a_basis_vertices:
+    for v in child.a_basis_vertices:
         up = coordinates(adj[v] & b)
         assert up is not None, "crossing vector must stay in the parent span"
         images.append((up, adj[v] & sibling))
@@ -294,10 +294,10 @@ def _lift(g: Graph, parent: _NodeCut, child: _NodeCut, sibling: int, groups) -> 
 def _leaf_table(cut: _NodeCut, u: int, kind: str):
     """The entries S = {} and S = {u}.  The cut's basis is (u,) when u has a
     neighbor and empty when not, so the code of S is 1 exactly when S meets
-    ∂A: ``(s & ∂A) >> u``, with no call to `CutBasis.a_code`.  That makes
+    ∂A: ``(s & ∂A) >> u``, with no call to `a_code`.  That makes
     rank = |∂A|: a leaf is a mask cut."""
     keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
-    a_boundary = cut.basis.a_boundary
+    a_boundary = cut.a_boundary
     table: dict[int, dict[_Sig, int]] = {}
     for s in (0, 1 << u):
         d = (s & keep) ^ set_
@@ -345,7 +345,7 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
     n, adj = g.n, g.adj
     sides = []
     for child, lifted in ((cx, lifted_x), (cy, lifted_y)):
-        set_c, masks, bd = set_ & child.a, child.masks, child.basis.a_boundary
+        set_c, masks, bd = set_ & child.a, child.masks, child.a_boundary
         sides.append([(up, cross, [(s, (s & keep) ^ set_c, sig >> n if masks else
                                     _odd_part(adj, s, keep, set_c, flip, bd))
                                    for sig, s in entries.items()])
@@ -403,7 +403,7 @@ def _join_masks(n: int, cut: _NodeCut, lifted_x: list, lifted_y: list, maximize:
     tie-break are `_join_table`'s, so the table is the same entry by entry.
     """
     low = (1 << n) - 1
-    zero, half = cut.zero_mask << n, cut.basis.a_boundary | ~low
+    zero, half = cut.zero_mask << n, cut.a_boundary | ~low
     table: dict[int, dict[_Sig, int]] = {}
     for up_x, cross_xy, gx in lifted_x:
         sel_x = next(iter(gx)) & low
@@ -523,7 +523,7 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
     n, adj = g.n, g.adj
     sides = []
     for child, (child_states, _), sibling in ((cx, tx, cy.a), (cy, ty, cx.a)):
-        masks, bd = child.masks, child.basis.a_boundary
+        masks, bd = child.masks, child.a_boundary
         groups = [(code, [(i, s, sig >> n if masks else _odd_part(adj, s, -1, 0, -1, bd))
                           for i, ((_, sig), s) in run])
                   for code, run in groupby(enumerate(child_states), lambda e: e[1][0][0])]

@@ -119,9 +119,12 @@ class Graph(Frozen):
             for v in vertices_of(self.adj[u] >> base):
                 yield (u, base + v)
 
-    def components(self) -> list[int]:
-        """Connected component vertex masks, ordered by smallest vertex."""
-        seen = 0
+    def components(self, within: int | None = None) -> list[int]:
+        """Connected component vertex masks, ordered by smallest vertex: of
+        the whole graph, or of the subgraph induced on the mask `within`."""
+        if within is None:
+            within = self.full_mask
+        seen = ~within  # vertices outside `within` count as seen
         out = []
         for v in range(self.n):
             if seen >> v & 1:
@@ -132,7 +135,7 @@ class Graph(Frozen):
                 nxt = 0
                 for u in vertices_of(frontier):
                     nxt |= self.adj[u]
-                frontier = nxt & ~comp
+                frontier = nxt & within & ~comp
                 comp |= frontier
             seen |= comp
             out.append(comp)

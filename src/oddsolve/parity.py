@@ -260,56 +260,18 @@ class CographFailure:
     detail: int     # vertex mask of the offending induced subgraph
 
 
-def _co_components(g: Graph, mask: int) -> list[int]:
-    """Connected components of the complement restricted to `mask`."""
-    seen = 0
-    out = []
-    for v in vertices_of(mask):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in vertices_of(frontier):
-                nxt |= mask & ~g.adj[u] & ~(1 << u)
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(comp)
-    return out
+def _is_cograph(g: Graph, co: Graph, mask: int) -> bool:
+    """Cograph test by alternating complement-connectivity, no P4 search.
 
-
-def _components_within(g: Graph, mask: int) -> list[int]:
-    seen = 0
-    out = []
-    for v in vertices_of(mask):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in vertices_of(frontier):
-                nxt |= g.adj[u] & mask
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(comp)
-    return out
-
-
-def _is_cograph(g: Graph, mask: int) -> bool:
-    """Cograph test by alternating complement-connectivity, no P4 search."""
+    `co` is the complement of `g`.  A cograph on two or more vertices is
+    disconnected in `g` or in `co`, and its parts are cographs."""
     if mask.bit_count() <= 1:
         return True
-    comps = _components_within(g, mask)
-    if len(comps) > 1:
-        return all(_is_cograph(g, c) for c in comps)
-    cocomps = _co_components(g, mask)
-    if len(cocomps) == 1:
-        return False
-    return all(_is_cograph(g, c) for c in cocomps)
+    for h in (g, co):
+        parts = h.components(mask)
+        if len(parts) > 1:
+            return all(_is_cograph(g, co, p) for p in parts)
+    return False
 
 
 def cograph_odd_3_coloring(g: Graph) -> tuple[int, ...] | CographFailure:
@@ -318,9 +280,10 @@ def cograph_odd_3_coloring(g: Graph) -> tuple[int, ...] | CographFailure:
     Fails as a value when the input is not a cograph or some component has
     odd order (the odd chromatic number is undefined there).
     """
-    if not _is_cograph(g, g.full_mask):
+    co = g.complement()
+    if not _is_cograph(g, co, g.full_mask):
         for comp in g.components():
-            if not _is_cograph(g, comp):
+            if not _is_cograph(g, co, comp):
                 return CographFailure("not-cograph", comp)
         return CographFailure("not-cograph", g.full_mask)
     colors = [0] * g.n
@@ -328,7 +291,7 @@ def cograph_odd_3_coloring(g: Graph) -> tuple[int, ...] | CographFailure:
         if comp.bit_count() & 1:
             return CographFailure("odd-component", comp)
         sub, verts = g.induced(comp)
-        cocomps = _co_components(sub, sub.full_mask)
+        cocomps = sub.complement().components()
         v1 = cocomps[0]
         v2 = sub.full_mask & ~v1
         result = join_bound_subgraph(sub, v1, v2)

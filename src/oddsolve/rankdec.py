@@ -122,8 +122,10 @@ class CutBasis:
 
     Only a boundary vertex (one with a neighbor across the cut) has a nonzero
     row, and a zero row never enters an earliest basis, so the basis is built
-    from ∂A alone, in vertex order.  `a_boundary` is ∂A and `b_mask` is B
-    when the caller already knows them, as a sweep over `cut_walk` does.
+    from ∂A alone, in vertex order.  The one constructor takes A, ∂A and B
+    from its caller.  It has two builders: `cut_rank`, which works out ∂A
+    and B for one cut, and the DP sweep, whose per-node cut (`dp._NodeCut`)
+    is a `CutBasis` with ∂A and B from `cut_walk`.
 
     With at most one boundary vertex no elimination is needed: an empty ∂A
     gives rank 0 and the empty basis, and ∂A = {v} gives the basis (v,),
@@ -131,23 +133,20 @@ class CutBasis:
     `row_basis` would, so codes are the same on either path.
     """
 
-    def __init__(self, g: Graph, a_mask: int, a_boundary: int | None = None,
-                 b_mask: int | None = None) -> None:
-        self.a_mask = a_mask
-        if b_mask is None:
-            b_mask = g.full_mask & ~a_mask
-        self.b_mask = b_mask
-        if a_boundary is None:
-            a_boundary = _a_boundary(g, a_mask)
+    __slots__ = ("a", "b", "a_boundary", "_adj", "a_dec", "a_basis_vertices", "rank")
+
+    def __init__(self, g: Graph, a: int, a_boundary: int, b: int) -> None:
+        self.a = a
+        self.b = b
         self.a_boundary = a_boundary
         self._adj = adj = g.adj
         if a_boundary & (a_boundary - 1):
             a_vertices = vertices_of(a_boundary)
-            self.a_dec = row_basis([adj[v] & b_mask for v in a_vertices])
+            self.a_dec = row_basis([adj[v] & b for v in a_vertices])
             self.a_basis_vertices = tuple(a_vertices[i] for i in self.a_dec.basis_row_indices)
         elif a_boundary:
             v = a_boundary.bit_length() - 1
-            self.a_dec = single_row_basis(adj[v] & b_mask)
+            self.a_dec = single_row_basis(adj[v] & b)
             self.a_basis_vertices = (v,)
         else:
             self.a_dec = single_row_basis(0)
@@ -159,22 +158,21 @@ class CutBasis:
         acc = 0
         for v in vertices_of(mask & self.a_boundary):
             acc ^= self._adj[v]
-        code = self.a_dec.coordinates(acc & self.b_mask)
+        code = self.a_dec.coordinates(acc & self.b)
         assert code is not None, "subset row must lie in the side's row space"
         return code
 
 
-def _a_boundary(g: Graph, a_mask: int) -> int:
+def _a_boundary(g: Graph, a: int, b: int) -> int:
     """∂A of the cut (A, B), scanning only the smaller side."""
-    b_mask = g.full_mask & ~a_mask
     near = 0
-    if a_mask.bit_count() <= b_mask.bit_count():
-        for v in vertices_of(a_mask):
-            if g.adj[v] & b_mask:
+    if a.bit_count() <= b.bit_count():
+        for v in vertices_of(a):
+            if g.adj[v] & b:
                 near |= 1 << v
     else:
-        for w in vertices_of(b_mask):
-            near |= g.adj[w] & a_mask
+        for w in vertices_of(b):
+            near |= g.adj[w] & a
     return near
 
 
@@ -182,7 +180,8 @@ def cut_rank(g: Graph, a_mask: int) -> CutBasis:
     """Cut basis (with .rank) for the cut (a_mask, complement)."""
     if a_mask < 0 or a_mask & ~g.full_mask:
         raise GraphError("cut side contains vertices outside the graph")
-    return CutBasis(g, a_mask)
+    b = g.full_mask & ~a_mask
+    return CutBasis(g, a_mask, _a_boundary(g, a_mask, b), b)
 
 
 def cut_walk(g: Graph, t: DecompositionTree) -> Iterator[tuple[int, int, int, int]]:

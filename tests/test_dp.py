@@ -29,7 +29,13 @@ from oddsolve.oracle import (
     oracle_odd_qcol,
     oracle_odd_tds,
 )
-from oddsolve.parity import gallai_even_even, gallai_odd_even, odd_two_coloring
+from oddsolve.parity import (
+    gallai_even_even,
+    gallai_odd_even,
+    join_bound_floor,
+    join_bound_subgraph,
+    odd_two_coloring,
+)
 from oddsolve.rankdec import (
     caterpillar,
     cut_rank,
@@ -202,6 +208,32 @@ def test_narrow_graphs_at_scale_agree_across_trees():
     assert all(two_colorable.values()), two_colorable
 
 
+def test_narrow_joins_at_scale_agree_across_trees():
+    """Joins of two narrow halves, n = 60-70: mos is the same on the natural
+    caterpillar and the min-degree tree, at least `join_bound_floor(n)` and
+    the order of `join_bound_subgraph`'s odd subgraph, and its witness
+    passes the certificate checker.  The min-degree trees have widths 7, 4
+    and 4 against the caterpillars' 4; at width 8 one solve takes seconds."""
+    rng = random.Random(1)
+    for _ in range(3):
+        n1 = rng.randrange(28, 36)
+        g1 = _narrow_graph(rng, n1, 3, rng.uniform(0.4, 0.95))
+        g2 = _narrow_graph(rng, rng.randrange(30, 71 - n1), 3, rng.uniform(0.4, 0.95))
+        n = n1 + g2.n
+        edges = list(g1.edges()) + [(u + n1, v + n1) for u, v in g2.edges()]
+        edges += [(u, v) for u in range(n1) for v in range(n1, n)]
+        g = Graph.from_edges(n, edges)
+        v1 = (1 << n1) - 1
+        results = {dp.solve_mos(g, t) for t in (caterpillar(g, list(range(n))),
+                                                 elimination_tree(g))}
+        assert len(results) == 1
+        value, witness = results.pop()
+        assert value >= join_bound_floor(n)
+        assert value >= join_bound_subgraph(g, v1, g.full_mask & ~v1).subgraph.bit_count()
+        ok, why = verify(g, Certificate("mos", value, vertex_set=witness))
+        assert ok, why
+
+
 # --------------------------------------------------------- special values
 
 def test_known_fixed_points():
@@ -314,14 +346,14 @@ def test_defect_constants_match_their_definitions():
 def _child_map(g: Graph, parent, child, sibling_mask: int):
     """code-at-child -> (code over the parent basis, parity mask on sibling),
     lifted one code at a time, independently of `dp._lift`."""
-    rows = [g.adj[v] for v in child.basis.a_basis_vertices]
+    rows = [g.adj[v] for v in child.a_basis_vertices]
 
     def get(code: int) -> tuple[int, int]:
         vec = 0
         for i in range(code.bit_length()):
             if code >> i & 1:
                 vec ^= rows[i]
-        up = parent.basis.a_dec.coordinates(vec & parent.b)
+        up = parent.a_dec.coordinates(vec & parent.b)
         assert up is not None
         return up, vec & sibling_mask
 
@@ -373,7 +405,7 @@ def _reference_join(cut, get_x, get_y, tx, ty, ax, ay, kind):
 
 def _mask_cut(cut) -> bool:
     """Every ∂A vertex is a basis vertex (rank = |∂A|)."""
-    return cut.basis.rank == cut.basis.a_boundary.bit_count()
+    return cut.rank == cut.a_boundary.bit_count()
 
 
 def _with_parities(g: Graph, cut, tab):
@@ -470,7 +502,7 @@ def test_mask_halves_are_the_parent_signature():
                     if t.is_leaf(node) or not _mask_cut(cut):
                         continue
                     zero = cut.zero_mask << n
-                    half = cut.basis.a_boundary | -(1 << n)
+                    half = cut.a_boundary | -(1 << n)
                     sides = [(collect[c], collect[d]) for c, d in permutations(t.children[node])]
                     halves = {}  # (child, code, sig, sibling code) -> half or None
                     for (cc, tc), (cs, ts) in sides:
@@ -592,7 +624,7 @@ def _outside_patterns(g: Graph, cut) -> dict[int, int]:
 def _completion_set(cut, pat: dict[int, int], d: int, e: int) -> frozenset:
     """Brute force: the completion codes x with <pat[v], x> = [v in e] on d."""
     return frozenset(
-        x for x in range(1 << cut.basis.rank)
+        x for x in range(1 << cut.rank)
         if all((pat[v] & x).bit_count() % 2 == (e >> v & 1) for v in vertices_of(d)))
 
 
@@ -630,7 +662,7 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                 distinct = list(dict.fromkeys(pat[v] for v in avs if pat[v]))
                 earliest = row_basis(distinct).basis_row_indices
                 dependent = set(distinct) - {distinct[k] for k in earliest}
-                assert (len(cut.classes) == cut.basis.rank) == (not dependent)
+                assert (len(cut.classes) == cut.rank) == (not dependent)
                 masks = cut.coset_sig.__qualname__.startswith("_mask_sig_twin_free.")
                 pairs = []
                 if kind == "qcol":
@@ -702,9 +734,9 @@ def test_mask_signatures_are_canonical_on_twin_classes():
             collect: dict = {}
             _run(g, t, "mos", collect=collect)
             for cut, tab in collect.values():
-                if len(cut.classes) != cut.basis.rank:
+                if len(cut.classes) != cut.rank:
                     continue
-                masks = cut.basis.rank == cut.basis.a_boundary.bit_count()
+                masks = cut.rank == cut.a_boundary.bit_count()
                 pat = _outside_patterns(g, cut)
                 by_pattern: dict[int, int] = {}
                 for v, pv in pat.items():
@@ -757,10 +789,10 @@ def test_mask_signatures_exactly_where_every_boundary_vertex_is_in_the_basis():
             collect: dict = {}
             _run(g, t, "mos", collect=collect)
             for cut, _ in collect.values():
-                masks = cut.basis.rank == cut.basis.a_boundary.bit_count()
+                masks = cut.rank == cut.a_boundary.bit_count()
                 factory = dp._mask_sig_twin_free if masks else dp._rows_sig
                 assert cut.coset_sig.__qualname__ == f"{factory.__name__}.<locals>.coset_sig"
-                twin_units += not masks and len(cut.classes) == cut.basis.rank
+                twin_units += not masks and len(cut.classes) == cut.rank
     assert twin_units
 
 
@@ -807,9 +839,9 @@ def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
                 in_basis = set(pbasis.basis_row_indices)
                 for k, code in enumerate(cut.classes):
                     assert (code & (code - 1) == 0) == (k in in_basis)
-                assert (len(cut.classes) == cut.basis.rank) == (len(in_basis) == len(patterns))
+                assert (len(cut.classes) == cut.rank) == (len(in_basis) == len(patterns))
                 dependent_nodes += len(in_basis) < len(patterns)
-                if cut.basis.rank == cut.basis.a_boundary.bit_count():
+                if cut.rank == cut.a_boundary.bit_count():
                     continue
                 rows = next(rows_of_cut)
                 assert [pmask for pmask, _, _ in rows] == list(by_pattern.values())
@@ -838,7 +870,7 @@ def test_table_entries_are_internally_consistent():
                 for code, sig, s in _subset_entries(tab):
                     assert isinstance(s, int)
                     assert s & ~cut.a == 0
-                    assert code == cut.basis.a_code(s)
+                    assert code == cut.a_code(s)
                     d, e = _defect(kind, cut.a, s, _parities(g, cut.a, s))
                     if masks:
                         assert sig >> g.n == e
@@ -873,7 +905,7 @@ def test_odd_part_is_the_defects_odd_part_from_scratch():
                         sets = {s for val in _qcol_decoded(tab).values() for s in val}
                     else:
                         sets = [s for _, _, s in _subset_entries(tab)]
-                    bd = cut.basis.a_boundary
+                    bd = cut.a_boundary
                     for s in sets:
                         want = _defect(defect, cut.a, s, _parities(g, cut.a, s))[1]
                         got = dp._odd_part(g.adj, s, *_SUBSET_KINDS[defect](cut.a), bd)
@@ -917,7 +949,7 @@ def test_subset_tables_hold_no_empty_group():
 def _class_state(g: Graph, cut, s: int):
     """(state, parity mask) of one class s <= A, recomputed from scratch."""
     p = _parities(g, cut.a, s)
-    return (cut.basis.a_code(s), cut.coset_sig(s, s & ~p)), p
+    return (cut.a_code(s), cut.coset_sig(s, s & ~p)), p
 
 
 def _qcol_decoded(tab):
@@ -1211,13 +1243,13 @@ def test_incremental_cuts_match_from_scratch():
                 a_rows = [g.adj[v] & b for v in vertices_of(a)]
                 b_rows = [g.adj[w] & a for w in vertices_of(b)]
                 # the boundary by definition, and the earliest bases over all rows
-                assert cut.basis.a_boundary == scratch.a_boundary == sum(
+                assert cut.a_boundary == scratch.a_boundary == sum(
                     1 << v for v, row in zip(vertices_of(a), a_rows) if row)
                 a_full = row_basis(a_rows)
                 b_full = row_basis(b_rows)
-                assert cut.basis.a_basis_vertices == scratch.a_basis_vertices == tuple(
+                assert cut.a_basis_vertices == scratch.a_basis_vertices == tuple(
                     vertices_of(a)[i] for i in a_full.basis_row_indices)
-                assert cut.basis.rank == scratch.rank == a_full.rank == b_full.rank
+                assert cut.rank == scratch.rank == a_full.rank == b_full.rank
                 # patterns over all of A against the from-scratch B basis
                 profiles = [b_rows[i] for i in b_full.basis_row_indices]
                 patterns: dict[int, int] = {}
@@ -1232,14 +1264,14 @@ def test_incremental_cuts_match_from_scratch():
                 assert list(cut.classes.values()) == list(patterns.values())
                 for code, pmask in cut.classes.items():
                     for v in vertices_of(pmask):
-                        assert code == cut.basis.a_code(1 << v)
+                        assert code == cut.a_code(1 << v)
                 assert cut.zero_mask == zero
                 # _NodeCut takes the patterns' rank to be the cut rank
                 # rather than eliminating them
-                assert row_basis(patterns).rank == cut.basis.rank
-                assert (len(cut.classes) == cut.basis.rank) == (len(patterns) == cut.basis.rank)
+                assert row_basis(patterns).rank == cut.rank
+                assert (len(cut.classes) == cut.rank) == (len(patterns) == cut.rank)
                 s = a & rng.randrange(1 << g.n)
-                assert cut.basis.a_code(s) == scratch.a_code(s)
+                assert cut.a_code(s) == scratch.a_code(s)
 
 
 def test_each_cut_runs_one_elimination(monkeypatch):
@@ -1276,12 +1308,12 @@ def test_each_cut_runs_one_elimination(monkeypatch):
                 per_node.clear()
                 collect: dict = {}
                 _run(g, t, kind, q=2, collect=collect)
-                expect = [1 if cut.basis.a_boundary.bit_count() > 1 else 0
+                expect = [1 if cut.a_boundary.bit_count() > 1 else 0
                           for cut, _ in collect.values()]
                 assert per_node == expect
                 for k in expect:
                     runs[k] += 1
-                dependent += sum(len(cut.classes) != cut.basis.rank
+                dependent += sum(len(cut.classes) != cut.rank
                                  for cut, _ in collect.values())
     assert dependent
     assert all(runs.values()), runs
@@ -1302,18 +1334,18 @@ def test_cuts_with_one_boundary_vertex_match_elimination():
             collect: dict = {}
             _run(g, t, "mos", collect=collect)
             for cut, _ in collect.values():
-                bd = cut.basis.a_boundary
+                bd = cut.a_boundary
                 if bd.bit_count() > 1:
                     continue
                 seen[bd.bit_count()] += 1
                 ref = row_basis([g.adj[v] & cut.b for v in vertices_of(bd)])
-                assert cut.basis.a_dec == ref
-                assert cut.basis.rank == ref.rank == bd.bit_count()
-                assert cut.basis.a_basis_vertices == tuple(vertices_of(bd))
+                assert cut.a_dec == ref
+                assert cut.rank == ref.rank == bd.bit_count()
+                assert cut.a_basis_vertices == tuple(vertices_of(bd))
                 for _ in range(4):
                     s = cut.a & rng.randrange(1 << g.n)
                     cross = 0
                     for v in vertices_of(s):
                         cross ^= g.adj[v] & cut.b
-                    assert cut.basis.a_code(s) == ref.coordinates(cross)
+                    assert cut.a_code(s) == ref.coordinates(cross)
     assert all(seen.values()), seen

@@ -99,6 +99,37 @@ def test_n2_neighborhood_matches_bruteforce():
         assert n2_neighborhood(g, mask) == want
 
 
+def test_components_partition_the_mask_into_connected_parts():
+    """`components(within)` splits `within` into parts ordered by smallest
+    vertex, each connected inside `within` and with no edge to the rest of
+    it; with no mask it is the whole graph's split."""
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randrange(0, 13)
+        g = rand_graph(rng, n, rng.choice([0.0, 0.1, 0.25, 0.5]))
+        assert g.components() == g.components(g.full_mask)
+        within = rng.randrange(1 << n)
+        parts = g.components(within)
+        union = 0
+        for part in parts:
+            assert part and not part & union
+            union |= part
+        assert union == within
+        assert [p & -p for p in parts] == sorted(p & -p for p in parts)
+        for part in parts:
+            reached = part & -part
+            while True:  # grow by edges inside `part`
+                grown = reached
+                for v in vertices_of(reached):
+                    grown |= g.adj[v] & part
+                if grown == reached:
+                    break
+                reached = grown
+            assert reached == part
+            for v in vertices_of(part):
+                assert not g.adj[v] & within & ~part
+
+
 def test_parity_set_predicates():
     c4 = gen_family("cycle", 4)
     assert is_even_set(c4, c4.full_mask)
