@@ -216,7 +216,7 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
     if op in ("odd2col", "even2col"):
         res = parity.odd_two_coloring(g) if op == "odd2col" else parity.even_two_coloring(g)
         if res is None:
-            out.append("the edge/vertex parity system is unsatisfiable")
+            out.append("the per-vertex parity system is unsatisfiable")
             return EXIT_INFEASIBLE, [_result_line(None, False)] + out
         used = _coloring_classes(res.colors)
         out.append(f"classes: {_vertex_list(res.class_mask(0))} | {_vertex_list(res.class_mask(1))}")

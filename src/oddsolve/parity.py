@@ -1,8 +1,8 @@
 """Polynomial-time parity partition and orientation routines.
 
-Everything reduces to small GF(2) linear systems (one variable per vertex,
-plus one per edge for the 2-coloring systems) or to a single spanning-tree
-sweep; free variables are fixed to 0, so all outputs are deterministic.
+Everything reduces to small GF(2) linear systems (one variable per vertex)
+or to a single spanning-tree sweep; free variables are fixed to 0, so all
+outputs are deterministic.
 """
 from __future__ import annotations
 
@@ -30,10 +30,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwoColoring:
-    """2-class vertex coloring plus the per-edge monochromatic indicators."""
+    """2-class vertex coloring."""
 
     colors: tuple[int, ...]                      # class 0 or 1 per vertex
-    edge_mono: dict[tuple[int, int], int]        # (u, v) u < v -> 1 iff same class
 
     def class_mask(self, cls: int) -> int:
         m = 0
@@ -43,54 +42,17 @@ class TwoColoring:
         return m
 
 
-def _two_coloring_system(g: Graph, vertex_rhs: int) -> TwoColoring | None:
-    """Solve the edge/vertex parity system shared by both 2-coloring variants.
+def _vertex_system(g: Graph, self_extra: int, rhs_extra: int) -> int | None:
+    """Solve the n x n parity system behind every 2-part routine, or None.
 
-    Variables: x_v per vertex, y_e per edge.  Per edge uv: x_u + x_v + y_e = 1
-    (y_e marks monochromatic edges).  Per vertex v: sum of y_e over incident
-    edges = vertex_rhs, i.e. v's degree inside its own class has that parity.
-    """
-    edges = list(g.edges())
-    m = len(edges)
-    # equations: edge k is row k, vertex v is row m + v; columns x_v then y_e
-    at_vertex = [0] * g.n
-    y_cols = []
-    for k, (u, v) in enumerate(edges):
-        at_vertex[u] |= 1 << k
-        at_vertex[v] |= 1 << k
-        y_cols.append((1 << k) | (1 << (m + u)) | (1 << (m + v)))
-    rhs = (1 << m) - 1
-    if vertex_rhs:
-        rhs |= ((1 << g.n) - 1) << m
-    x = solve(at_vertex + y_cols, rhs)
-    if x is None:
-        return None
-    colors = tuple(x >> v & 1 for v in range(g.n))
-    edge_mono = {e: x >> (g.n + k) & 1 for k, e in enumerate(edges)}
-    return TwoColoring(colors, edge_mono)
-
-
-def odd_two_coloring(g: Graph) -> TwoColoring | None:
-    """Partition into <= 2 classes, each inducing an odd subgraph, or None."""
-    return _two_coloring_system(g, vertex_rhs=1)
-
-
-def even_two_coloring(g: Graph) -> TwoColoring:
-    """Partition into <= 2 classes, each inducing an even subgraph.
-
-    Always exists (Gallai); infeasibility would be an internal error.
-    """
-    result = _two_coloring_system(g, vertex_rhs=0)
-    if result is None:
-        raise RuntimeError("internal error: even 2-coloring system infeasible")
-    return result
-
-
-def _gallai(g: Graph, self_extra: int) -> tuple[int, int]:
-    """Shared per-vertex system for the Gallai partitions.
-
-    Membership variable x_v = 1 puts v in part A.  Row v: sum of x_u over
-    open neighbors plus x_v * (deg(v) + self_extra) = deg(v)  (mod 2).
+    x_v is v's class (1 puts v in part A).  v's degree inside its own class
+    is deg(v) + sum of x_u over N(v) + deg(v) * x_v  (mod 2): with x_v = 0
+    it counts the neighbours with x_u = 0, with x_v = 1 those with x_u = 1.
+    Row v is therefore N(v), plus bit v when deg(v) + self_extra is odd, and
+    its right side is deg(v) + rhs_extra.  With self_extra 0 the row asks
+    v's own-class degree to have parity rhs_extra; with self_extra 1 it asks
+    A-degree 1 for v in A and B-degree 0 for v in B (Gallai's odd/even).
+    The matrix is symmetric, so its rows are also the columns `solve` takes.
     """
     rows = []
     rhs = 0
@@ -99,9 +61,28 @@ def _gallai(g: Graph, self_extra: int) -> tuple[int, int]:
         if (g.degree(v) + self_extra) & 1:
             row |= 1 << v
         rows.append(row)
-        if g.degree(v) & 1:
+        if (g.degree(v) + rhs_extra) & 1:
             rhs |= 1 << v
-    x = solve(rows, rhs)  # the matrix is symmetric: its rows are its columns
+    return solve(rows, rhs)
+
+
+def odd_two_coloring(g: Graph) -> TwoColoring | None:
+    """Partition into <= 2 classes, each inducing an odd subgraph, or None."""
+    x = _vertex_system(g, self_extra=0, rhs_extra=1)
+    return None if x is None else TwoColoring(tuple(x >> v & 1 for v in range(g.n)))
+
+
+def even_two_coloring(g: Graph) -> TwoColoring:
+    """Partition into <= 2 classes, each inducing an even subgraph.
+
+    Its system is `gallai_even_even`'s, so class 1 is that partition's A.
+    """
+    a, _ = gallai_even_even(g)
+    return TwoColoring(tuple(a >> v & 1 for v in range(g.n)))
+
+
+def _gallai(g: Graph, self_extra: int) -> tuple[int, int]:
+    x = _vertex_system(g, self_extra, rhs_extra=0)
     if x is None:
         raise RuntimeError("internal error: Gallai partition system infeasible")
     return x, g.full_mask & ~x

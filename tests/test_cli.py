@@ -326,6 +326,19 @@ def test_poly_subcommands(capsys, p4_file, k222_file, tmp_path):
     assert code == 2 and "component" in out
 
 
+def test_poly_odd2col_names_the_per_vertex_system(capsys, c6_file, tmp_path):
+    # C6 has no odd 2-coloring (pinned in test_parity), so the system fails
+    code, out, _ = run(capsys, "poly", "odd2col", "--graph", c6_file)
+    assert code == 2
+    assert out.splitlines() == ["value=none feasible=false",
+                                "the per-vertex parity system is unsatisfiable"]
+    # K4 is itself odd, so its witness is one class
+    k4 = tmp_path / "k4.col"
+    k4.write_text(write_graph(gen_family("clique", 4)))
+    code, out, _ = run(capsys, "poly", "odd2col", "--graph", str(k4))
+    assert code == 0 and out.splitlines()[0] == "value=1 feasible=true"
+
+
 def test_gen_family_and_random_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "g.col"
     code, _, _ = run(capsys, "gen", "family", "cycle", "--n", "8",

@@ -13,6 +13,7 @@ from conftest import (
     degrees_within,
     rand_graph,
 )
+from oddsolve.certificates import Certificate, verify
 from oddsolve.graph import Graph, GraphError, gen_family, vertices_of
 from oddsolve.parity import (
     CographFailure,
@@ -70,7 +71,7 @@ def rand_cograph(rng: random.Random, size: int) -> Graph:
 # ---------------------------------------------------------------- 2-coloring
 
 def test_odd_two_coloring_matches_bruteforce_tiny():
-    for g in all_labeled_graphs(4):
+    for g in all_labeled_graphs(5):
         res = odd_two_coloring(g)
         assert (res is not None) == brute_odd_two_colorable(g)
         if res is not None:
@@ -86,12 +87,26 @@ def test_odd_two_coloring_matches_bruteforce_random():
 
 
 def test_two_coloring_edge_mono_markers():
+    # the monochromatic edges at each vertex, read off the colors, number
+    # odd in an odd 2-coloring and even in an even one.  An odd class has
+    # even order, so at n = 7 no odd 2-coloring exists; n = 8 has both.
     rng = random.Random(42)
-    for _ in range(20):
-        g = rand_graph(rng, 7)
-        res = even_two_coloring(g)
-        for (u, v), mono in res.edge_mono.items():
-            assert mono == (res.colors[u] == res.colors[v])
+    odd_found = 0
+    for n in (7, 8):
+        for _ in range(20):
+            g = rand_graph(rng, n)
+            odd = odd_two_coloring(g)
+            even = even_two_coloring(g)
+            assert even.colors == tuple(gallai_even_even(g)[0] >> v & 1 for v in range(n))
+            for res, parity in ((odd, 1), (even, 0)):
+                if res is None:
+                    continue
+                for u in range(n):
+                    mono = [v for v in vertices_of(g.adj[u]) if res.colors[v] == res.colors[u]]
+                    assert len(mono) % 2 == parity
+            assert n % 2 == 0 or odd is None
+            odd_found += odd is not None
+    assert 0 < odd_found < 20  # both outcomes of the odd system occur
 
 
 def test_even_two_coloring_always_exists():
@@ -143,8 +158,8 @@ PINNED_PARITY_OUTPUTS = {
     ("path", 4): ((1, 1, 0, 0), (1, 0, 1, 0), (6, 9), (5, 10)),
     ("path", 5): (None, (0, 1, 0, 1, 0), (27, 4), (10, 21)),
     ("cycle", 5): (None, (0, 0, 0, 0, 0), (0, 31), (0, 31)),
-    ("cycle", 6): (None, (1, 0, 1, 0, 1, 0), (0, 63), (0, 63)),
-    ("clique", 4): ((0, 1, 1, 0), (1, 1, 1, 0), (15, 0), (1, 14)),
+    ("cycle", 6): (None, (0, 0, 0, 0, 0, 0), (0, 63), (0, 63)),
+    ("clique", 4): ((0, 0, 0, 0), (1, 0, 0, 0), (15, 0), (1, 14)),
     ("star", 5): (None, (1, 0, 0, 0, 0), (3, 28), (1, 30)),
     ("star", 6): ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (3, 60), (1, 62)),
 }
@@ -159,6 +174,22 @@ def test_parity_outputs_are_pinned(family, n):
     assert even_two_coloring(g).colors == even
     assert gallai_odd_even(g) == odd_even
     assert gallai_even_even(g) == even_even
+
+
+def test_two_part_witnesses_verify_at_scale():
+    # a cograph (n = 150, 4,173 edges) and G(200, 1/2) (9,992 edges), both
+    # odd 2-colorable: every witness of the four 2-part routines passes the
+    # independent certificate check
+    for g in (rand_cograph(random.Random(5), 150), rand_graph(random.Random(6), 200)):
+        odd = odd_two_coloring(g)
+        assert odd is not None
+        witnesses = [("odd2col", odd.colors), ("even2col", even_two_coloring(g).colors)]
+        for problem, fn in (("gallai-oe", gallai_odd_even), ("gallai-ee", gallai_even_even)):
+            a, _ = fn(g)
+            witnesses.append((problem, tuple(0 if a >> v & 1 else 1 for v in range(g.n))))
+        for problem, colors in witnesses:
+            ok, why = verify(g, Certificate(problem, len(set(colors)), coloring=colors))
+            assert ok, (g.n, problem, why)
 
 
 # -------------------------------------------------------------- orientation
