@@ -27,7 +27,6 @@ __all__ = ["main"]
 SOLVE_PROBLEMS = ("mos", "mes", "odd-qcol", "chi-odd", "odd-ds", "odd-tds")
 POLY_OPS = ("odd2col", "even2col", "gallai-ee", "gallai-oe", "odd-orient",
             "join-bound", "cograph-3col")
-DECOMPOSE_METHODS = ("caterpillar-bfs", "caterpillar-degree", "min-degree", "optimal-linear")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -65,19 +64,24 @@ def _load_graph(path: str) -> Graph:
     return parse_graph(_read(path))
 
 
-def _resolve_threads(value: int | None) -> int:
+def _check_threads(value: int | None) -> None:
+    """Validate --threads, else the ODDSOLVE_THREADS environment variable, as
+    a positive integer.
+
+    The solver is serial: nothing reads the count, and results and output
+    bytes never depend on it.  The flag stays so that scripts which pass it
+    keep running, and a bad value still fails the run with exit code 1.
+    """
     if value is None:
         env = os.environ.get("ODDSOLVE_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise _CliError(f"ODDSOLVE_THREADS={env!r} is not an integer") from None
-        else:
-            value = os.cpu_count() or 1
+        if env is None:
+            return
+        try:
+            value = int(env)
+        except ValueError:
+            raise _CliError(f"ODDSOLVE_THREADS={env!r} is not an integer") from None
     if value < 1:
         raise _CliError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def _result_line(value, feasible: bool) -> str:
@@ -111,7 +115,7 @@ def _coloring_classes(coloring) -> int:
 
 def _cmd_solve(args) -> tuple[int, list[str]]:
     g = _load_graph(args.graph)
-    _resolve_threads(args.threads)
+    _check_threads(args.threads)
     problem = args.problem
     if g.n == 0 and not args.dec:
         # no tree has zero leaves; the empty set (or coloring) answers everything
@@ -268,13 +272,7 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
 
 def _cmd_decompose(args) -> tuple[int, list[str]]:
     g = _load_graph(args.graph)
-    if args.method == "optimal-linear":
-        t = rankdec.optimal_linear(g)
-    elif args.method == "min-degree":
-        t = rankdec.elimination_tree(g)
-    else:
-        method = "bfs" if args.method == "caterpillar-bfs" else "degree"
-        t = rankdec.caterpillar(g, rankdec.heuristic_order(g, method))
+    t = rankdec.METHODS[args.method](g)
     w = rankdec.width(g, t)
     text = rankdec.write_tree(t)
     out = [f"method={args.method}"]
@@ -353,11 +351,11 @@ def _build_parser() -> _Parser:
     p_solve.add_argument("problem", choices=SOLVE_PROBLEMS)
     p_solve.add_argument("--graph", required=True)
     p_solve.add_argument("--dec", help="decomposition tree file (default: the narrower of "
-                                       "the BFS caterpillar and the min-degree tree)")
+                                       + " and ".join(rankdec.AUTO_METHODS) + ")")
     p_solve.add_argument("--q", type=int, help="class budget for odd-qcol")
     p_solve.add_argument("--emit-certificate", metavar="PATH")
     p_solve.add_argument("--threads", type=int,
-                         help="worker budget (default: ODDSOLVE_THREADS or all cores); "
+                         help="worker budget (default: ODDSOLVE_THREADS); "
                               "results never depend on it")
     p_solve.set_defaults(fn=_cmd_solve)
 
@@ -376,7 +374,7 @@ def _build_parser() -> _Parser:
 
     p_dec = sub.add_parser("decompose", help="build a decomposition tree")
     p_dec.add_argument("--graph", required=True)
-    p_dec.add_argument("--method", choices=DECOMPOSE_METHODS, default="caterpillar-bfs")
+    p_dec.add_argument("--method", choices=rankdec.METHODS, default=next(iter(rankdec.METHODS)))
     p_dec.add_argument("--out", metavar="PATH")
     p_dec.set_defaults(fn=_cmd_decompose)
 

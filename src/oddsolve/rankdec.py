@@ -15,8 +15,10 @@ from .gf2 import rank_of, row_basis, single_row_basis
 from .graph import Graph, GraphError, vertices_of
 
 __all__ = [
+    "AUTO_METHODS",
     "CutBasis",
     "DecompositionTree",
+    "METHODS",
     "TreeFormatError",
     "auto_tree",
     "caterpillar",
@@ -316,8 +318,8 @@ def elimination_tree(g: Graph) -> DecompositionTree:
 
 
 def auto_tree(g: Graph) -> tuple[DecompositionTree, str, int]:
-    """(tree, method name, width): the BFS caterpillar, or the min-degree
-    elimination tree when that is strictly narrower.
+    """(tree, METHODS name, width): the AUTO_METHODS caterpillar, or the
+    candidate when that is strictly narrower.
 
     A width-1 caterpillar cannot be beaten, so the candidate is not built.
     Ties keep the caterpillar, whose joins examine about 2·|Tₓ| pairs, not
@@ -325,17 +327,18 @@ def auto_tree(g: Graph) -> tuple[DecompositionTree, str, int]:
     first up to 2, then, if the candidate has width cw > 1, up to cw + 1.
     The reported width is exact either way.
     """
-    t = caterpillar(g, heuristic_order(g, "bfs"))
+    cat_name, cand_name = AUTO_METHODS
+    t = METHODS[cat_name](g)
     w = width(g, t, stop_at=2)
     if w <= 1:
-        return t, "caterpillar-bfs", w
-    candidate = elimination_tree(g)
+        return t, cat_name, w
+    candidate = METHODS[cand_name](g)
     cw = width(g, candidate)
     if cw > 1:
         w = width(g, t, stop_at=cw + 1)
     if cw < w:
-        return candidate, "min-degree", cw
-    return t, "caterpillar-bfs", w
+        return candidate, cand_name, cw
+    return t, cat_name, w
 
 
 def heuristic_order(g: Graph, method: str = "bfs") -> list[int]:
@@ -458,3 +461,15 @@ def write_tree(t: DecompositionTree) -> str:
             lines.append(f"node {node} {left} {right}")
     lines.append(f"root {t.root}")
     return "\n".join(lines) + "\n"
+
+
+# name -> tree builder, in `decompose --method` order; each builder looks up
+# its function when called, so that a monkeypatched module function is seen.
+METHODS = {
+    "caterpillar-bfs": lambda g: caterpillar(g, heuristic_order(g, "bfs")),
+    "caterpillar-degree": lambda g: caterpillar(g, heuristic_order(g, "degree")),
+    "min-degree": lambda g: elimination_tree(g),
+    "optimal-linear": lambda g: optimal_linear(g),
+}
+# auto_tree's candidates, in the order it ranks them
+AUTO_METHODS = ("caterpillar-bfs", "min-degree")

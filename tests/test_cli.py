@@ -10,8 +10,9 @@ import pytest
 
 from conftest import binary_tree
 from oddsolve import dp, rankdec
-from oddsolve.cli import DECOMPOSE_METHODS, SOLVE_PROBLEMS, main
+from oddsolve.cli import SOLVE_PROBLEMS, main
 from oddsolve.graph import Graph, parse_graph, write_graph, gen_family
+from oddsolve.rankdec import METHODS
 
 FIRST_LINE = re.compile(r"^value=(\d+|none) feasible=(true|false)$")
 
@@ -176,8 +177,11 @@ def test_solve_with_explicit_decomposition(capsys, c6_file, tmp_path):
 
 
 def test_decompose_methods_report_width(capsys, c6_file, tmp_path):
-    assert "min-degree" in DECOMPOSE_METHODS
-    for method in DECOMPOSE_METHODS:
+    assert "min-degree" in METHODS
+    with pytest.raises(SystemExit):
+        main(["decompose", "--help"])
+    assert "--method {" + ",".join(METHODS) + "}" in capsys.readouterr().out
+    for method in METHODS:
         code, out, _ = run(capsys, "decompose", "--graph", c6_file, "--method", method)
         assert code == 0
         value = int(out.splitlines()[0].split()[0].split("=")[1])
@@ -238,7 +242,7 @@ def test_empty_graph(capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "--graph", str(graph),
                            "--certificate", str(cert), "--problem", problem)
         assert code == 0, (problem, out)
-    for method in DECOMPOSE_METHODS:
+    for method in METHODS:
         code, out, err = run(capsys, "decompose", "--graph", str(graph), "--method", method)
         assert code == 1 and out == ""
         assert "empty graph has no decomposition tree" in err

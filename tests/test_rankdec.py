@@ -9,6 +9,8 @@ from conftest import binary_tree, rand_graph, random_tree
 from oddsolve.graph import Graph, GraphError, gen_family, vertices_of
 from oddsolve import rankdec
 from oddsolve.rankdec import (
+    AUTO_METHODS,
+    METHODS,
     DecompositionTree,
     TreeFormatError,
     auto_tree,
@@ -348,12 +350,22 @@ def test_bounded_width_is_exact_below_the_bound():
                     assert exact >= got >= bound
 
 
+def random_corpus() -> list[Graph]:
+    """100 random graphs with n <= 12."""
+    rng = random.Random(28)
+    return [rand_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.9)) for _ in range(100)]
+
+
+def test_every_method_builds_a_tree_of_the_graph():
+    for g in random_corpus():
+        for build in METHODS.values():
+            build(g).validate_for(g)
+
+
 def test_auto_tree_is_never_wider_and_ties_keep_the_caterpillar():
     """The bounded passes choose exactly as unbounded ones would."""
-    rng = random.Random(28)
     picked = {"caterpillar-bfs": 0, "min-degree": 0}
-    for _ in range(100):
-        g = rand_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.9))
+    for g in random_corpus():
         cat = caterpillar(g, heuristic_order(g, "bfs"))
         cat_w = width(g, cat)
         elim_w = width(g, elimination_tree(g))
@@ -363,6 +375,7 @@ def test_auto_tree_is_never_wider_and_ties_keep_the_caterpillar():
             assert (t, name, w) == (elimination_tree(g), "min-degree", elim_w)
         else:
             assert (t, name, w) == (cat, "caterpillar-bfs", cat_w)
+        assert name in AUTO_METHODS and t == METHODS[name](g)
         picked[name] += 1
     assert all(picked.values()), picked
 
