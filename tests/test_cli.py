@@ -105,7 +105,10 @@ TOY_CNF = "p cnf 3 3\n1 2 -3 0\n2 3 -1 0\n3 1 -2 0\n"
      "99999997 declared variables never occur"),                 # ReductionError
     (("gen", "reduce", "mes", "--cnf"), "p cnf -3 0\n",
      "negative count"),                                          # CnfFormatError
-], ids=["oracle-cap", "cnf-format", "cnf-shape", "cnf-declared-count", "cnf-negative"])
+    (("solve", "mos", "--graph"), "p edge 1000000000000 0\n",
+     "line 1: 1000000000000 vertices exceed the limit"),         # GraphError
+], ids=["oracle-cap", "cnf-format", "cnf-shape", "cnf-declared-count", "cnf-negative",
+        "graph-vertex-count"])
 def test_package_errors_exit_1_with_one_line(capsys, tmp_path, command, text, needle):
     path = tmp_path / "input"
     path.write_text(text)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import degrees_within, rand_graph
 from oddsolve.graph import (
     FAMILIES,
+    MAX_VERTICES,
     Graph,
     GraphError,
     gen_family,
@@ -31,14 +34,33 @@ def test_from_edges_basic():
 
 
 def test_edges_lists_every_pair_once_on_wide_rows():
-    """Rows of n >= 70 bits span several int digits; `edges` shifts each
-    row down and adds the offset back."""
+    """Rows of n >= 70 bits span several int digits; `edges` and
+    `write_graph` each shift a row down and add the offset back.  The
+    written text is pinned byte for byte to the brute-force edge list."""
     rng = random.Random(12)
-    for _ in range(6):
-        g = rand_graph(rng, rng.randrange(70, 140), rng.uniform(0.02, 0.3))
+    cases = [rand_graph(rng, rng.randrange(70, 140), rng.uniform(0.02, 0.3)) for _ in range(6)]
+    cases += [Graph.from_edges(0, []), Graph.from_edges(1, []),
+              Graph.from_edges(9, [(1, 4), (4, 7), (1, 7)])]  # 0, 2, 3, 5, 6, 8 isolated
+    for g in cases:
         brute = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
         assert list(g.edges()) == brute
         assert len(brute) == g.m
+        text = "".join(f"e {u + 1} {v + 1}\n" for u, v in brute)
+        assert write_graph(g) == f"p edge {g.n} {g.m}\n" + text
+
+
+@st.composite
+def graphs(draw) -> Graph:
+    n = draw(st.integers(0, 140))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = {(min(e), max(e)) for e in draw(st.lists(pairs, max_size=200)) if e[0] != e[1]}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@given(graphs())
+@example(Graph.from_edges(5, [(0, 1), (0, 4), (2, 3)]))
+def test_parse_write_roundtrip(g):
+    assert parse_graph(write_graph(g)) == g
 
 
 def test_from_edges_rejects_bad_input():
@@ -55,11 +77,6 @@ def test_mask_helpers():
     assert mask_lex_less(0b011, 0b101)
     assert not mask_lex_less(0b101, 0b011)
     assert not mask_lex_less(0b101, 0b101)
-
-
-def test_parse_write_roundtrip():
-    g = Graph.from_edges(5, [(0, 1), (0, 4), (2, 3)])
-    assert parse_graph(write_graph(g)).adj == g.adj
 
 
 def test_parse_one_indexed_with_comments():
@@ -84,6 +101,41 @@ def test_parse_errors():
         parse_graph("p edge 2 1\ne 1 1\n")  # self-loop
     with pytest.raises(GraphError):
         parse_graph("p edge x 1\n")
+
+
+def test_parse_bounds_the_declared_vertex_count_at_the_problem_line():
+    """A count above MAX_VERTICES is refused before anything is allocated
+    for it; the bound itself is accepted."""
+    limit = f"limit of {MAX_VERTICES}"
+    for n in (MAX_VERTICES + 1, 10**12, 10**4000):
+        with pytest.raises(GraphError, match=f"line 2: .*{limit}"):
+            parse_graph(f"c hostile\np edge {n} 0\ne 1 2\n")
+    assert parse_graph(f"p edge {MAX_VERTICES} 0\n").n == MAX_VERTICES
+
+
+# Documents built from the format's own words and integers of any size: the
+# vertex-count bound, not a narrow strategy, keeps `p edge <huge n>` cheap.
+# A `p` line first, whole `e` lines and small integers mixed in reach the
+# endpoint checks and the returned graph far more often than word soup does.
+_GRAPH_INTS = st.one_of(st.integers(1, 5), st.integers()).map(str)
+_GRAPH_WORDS = st.one_of(st.sampled_from(["p", "edge", "e", "c"]), _GRAPH_INTS,
+                         st.text(max_size=3))
+_P_LINE = st.tuples(st.just("p edge"), _GRAPH_INTS, _GRAPH_INTS).map(" ".join)
+_E_LINE = st.tuples(st.just("e"), _GRAPH_INTS, _GRAPH_INTS).map(" ".join)
+_GRAPH_LINE = st.one_of(_P_LINE, _E_LINE, st.lists(_GRAPH_WORDS, max_size=5).map(" ".join))
+_GRAPH_LINES = st.tuples(st.lists(_P_LINE, max_size=1), st.lists(_GRAPH_LINE, max_size=8)
+                         ).map(lambda parts: "\n".join(parts[0] + parts[1]))
+
+
+@given(st.one_of(st.text(), _GRAPH_LINES))
+def test_parse_graph_returns_a_graph_or_raises_graph_error(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # duplicate edges, declared m
+        try:
+            g = parse_graph(text)
+        except GraphError:
+            return
+    assert isinstance(g, Graph) and 0 <= g.n <= MAX_VERTICES
 
 
 def test_n2_neighborhood_matches_bruteforce():
