@@ -20,11 +20,11 @@ import sys
 
 from . import certificates as ct
 from . import dp, rankdec
-from .graph import FAMILIES, Graph, gen_family, parse_graph, vertices_of, write_graph
+from .graph import (FAMILIES, MAX_VERTICES, Graph, gen_family, parse_graph, vertices_of,
+                    write_graph)
 
 __all__ = ["main"]
 
-SOLVE_PROBLEMS = ("mos", "mes", "odd-qcol", "chi-odd", "odd-ds", "odd-tds")
 POLY_OPS = ("odd2col", "even2col", "gallai-ee", "gallai-oe", "odd-orient",
             "join-bound", "cograph-3col")
 
@@ -102,10 +102,11 @@ def _decomposition_for(g: Graph, args) -> tuple[rankdec.DecompositionTree, str, 
     return t, f"auto {name}", w
 
 
-def _emit_certificate(args, cert: ct.Certificate, out: list[str]) -> None:
+def _emit_certificate(args, out: list[str], problem: str, value: int, **payload) -> None:
+    """Write the certificate to the file --emit-certificate names, if any."""
     path = getattr(args, "emit_certificate", None)
     if path:
-        _write(path, ct.write_certificate(cert))
+        _write(path, ct.write_certificate(ct.Certificate(problem, value, **payload)))
         out.append(f"certificate written to {path}")
 
 
@@ -113,86 +114,88 @@ def _coloring_classes(coloring) -> int:
     return len(set(coloring)) if coloring else 0
 
 
+# The answer on the empty graph, one per answer shape: (value, vertex set);
+# a coloring into at most --q classes, the one shape that takes --q; and
+# (value, coloring).  None stands for no answer.
+_EMPTY_SUBSET = (0, 0)
+_EMPTY_COLORING = ()
+_EMPTY_CHI = (0, ())
+
+# problem -> (DP solve, name of its function in `oracle`, answer on the empty
+# graph, which no tree can carry).  Each solve looks its dp function up when
+# called, so that a wrapped or patched function still sees every call.
+_PROBLEMS = {
+    "mos": (lambda g, t, q: dp.solve_mos(g, t), "oracle_mos", _EMPTY_SUBSET),
+    "mes": (lambda g, t, q: dp.solve_mes(g, t), "oracle_mes", _EMPTY_SUBSET),
+    "odd-qcol": (lambda g, t, q: dp.solve_odd_qcol(g, t, q), "oracle_odd_qcol",
+                 _EMPTY_COLORING),
+    "chi-odd": (lambda g, t, q: dp.chi_odd(g, t), "oracle_chi_odd", _EMPTY_CHI),
+    "odd-ds": (lambda g, t, q: dp.solve_odd_ds(g, t), "oracle_odd_ds", _EMPTY_SUBSET),
+    "odd-tds": (lambda g, t, q: dp.solve_odd_tds(g, t), "oracle_odd_tds", _EMPTY_SUBSET),
+}
+SOLVE_PROBLEMS = tuple(_PROBLEMS)
+
+
+def _problem(args) -> tuple:
+    """args.problem's row of _PROBLEMS, once --q is checked where it is used."""
+    row = _PROBLEMS[args.problem]
+    if row[2] == _EMPTY_COLORING:
+        if args.q is None:
+            raise _CliError(f"{args.problem} requires --q")
+        if args.q < 1:
+            raise _CliError("q must be positive")
+    return row
+
+
+def _report(args, answer, out: list[str]) -> tuple[int, list[str]]:
+    """Exit code and lines of `solve` or `oracle` for args.problem's answer,
+    after the lines already in out."""
+    problem = args.problem
+    empty = _PROBLEMS[problem][2]
+    if empty == _EMPTY_COLORING:
+        out.append(f"q={args.q}")
+    if answer is None:
+        if empty == _EMPTY_SUBSET:
+            out.append("no feasible set exists")
+        elif empty == _EMPTY_CHI:
+            out.append("undefined: some component has odd order")
+        return EXIT_INFEASIBLE, [_result_line(None, False)] + out
+    if empty == _EMPTY_SUBSET:
+        value, mask = answer
+        out.append(f"witness: {_vertex_list(mask)}")
+        _emit_certificate(args, out, problem, value, vertex_set=mask)
+    elif empty == _EMPTY_COLORING:
+        value = _coloring_classes(answer)
+        _emit_certificate(args, out, problem, args.q, coloring=answer)
+    else:
+        value, coloring = answer
+        _emit_certificate(args, out, problem, value, coloring=coloring)
+    return EXIT_OK, [_result_line(value, True)] + out
+
+
 def _cmd_solve(args) -> tuple[int, list[str]]:
     g = _load_graph(args.graph)
     _check_threads(args.threads)
-    problem = args.problem
     if g.n == 0 and not args.dec:
-        # no tree has zero leaves; the empty set (or coloring) answers everything
         t = None
         out = ["decomposition=none width=0"]
     else:
         t, source, w = _decomposition_for(g, args)
         out = [f"decomposition={source} width={w}"]
-
-    if problem in ("mos", "mes", "odd-ds", "odd-tds"):
-        solver = {"mos": dp.solve_mos, "mes": dp.solve_mes,
-                  "odd-ds": dp.solve_odd_ds, "odd-tds": dp.solve_odd_tds}[problem]
-        res = (0, 0) if t is None else solver(g, t)
-        if res is None:
-            out.append("no feasible set exists")
-            return EXIT_INFEASIBLE, [_result_line(None, False)] + out
-        value, mask = res
-        out.append(f"witness: {_vertex_list(mask)}")
-        _emit_certificate(args, ct.Certificate(problem, value, vertex_set=mask), out)
-        return EXIT_OK, [_result_line(value, True)] + out
-
-    if problem == "odd-qcol":
-        if args.q is None:
-            raise _CliError("odd-qcol requires --q")
-        if args.q < 1:
-            raise _CliError("q must be positive")
-        coloring = () if t is None else dp.solve_odd_qcol(g, t, args.q)
-        out.append(f"q={args.q}")
-        if coloring is None:
-            return EXIT_INFEASIBLE, [_result_line(None, False)] + out
-        used = _coloring_classes(coloring)
-        _emit_certificate(args, ct.Certificate("odd-qcol", args.q, coloring=coloring), out)
-        return EXIT_OK, [_result_line(used, True)] + out
-
-    # chi-odd
-    res = (0, ()) if t is None else dp.chi_odd(g, t)
-    if res is None:
-        out.append("undefined: some component has odd order")
-        return EXIT_INFEASIBLE, [_result_line(None, False)] + out
-    value, coloring = res
-    _emit_certificate(args, ct.Certificate("chi-odd", value, coloring=coloring), out)
-    return EXIT_OK, [_result_line(value, True)] + out
+    solve, _, empty = _problem(args)
+    return _report(args, empty if t is None else solve(g, t, args.q), out)
 
 
 def _cmd_oracle(args) -> tuple[int, list[str]]:
     from . import oracle
 
     g = _load_graph(args.graph)
-    problem = args.problem
-    out: list[str] = []
-
-    if problem in ("mos", "mes", "odd-ds"):
-        fn = {"mos": oracle.oracle_mos, "mes": oracle.oracle_mes,
-              "odd-ds": oracle.oracle_odd_ds}[problem]
-        value, mask = fn(g)
-        out.append(f"witness: {_vertex_list(mask)}")
-        return EXIT_OK, [_result_line(value, True)] + out
-    if problem == "odd-tds":
-        res = oracle.oracle_odd_tds(g)
-        if res is None:
-            return EXIT_INFEASIBLE, [_result_line(None, False)]
-        out.append(f"witness: {_vertex_list(res[1])}")
-        return EXIT_OK, [_result_line(res[0], True)] + out
-    if problem == "odd-qcol":
-        if args.q is None:
-            raise _CliError("odd-qcol requires --q")
-        coloring = oracle.oracle_odd_qcol(g, args.q)
-        out.append(f"q={args.q}")
-        if coloring is None:
-            return EXIT_INFEASIBLE, [_result_line(None, False)] + out
-        return EXIT_OK, [_result_line(_coloring_classes(coloring), True)] + out
-    # chi-odd
-    value = oracle.oracle_chi_odd(g)
-    if value is None:
-        out.append("undefined: some component has odd order")
-        return EXIT_INFEASIBLE, [_result_line(None, False)] + out
-    return EXIT_OK, [_result_line(value, True)] + out
+    _, name, empty = _problem(args)
+    fn = getattr(oracle, name)
+    answer = fn(g, args.q) if empty == _EMPTY_COLORING else fn(g)
+    if empty == _EMPTY_CHI and answer is not None:
+        answer = (answer, None)  # the oracle finds the number, not a coloring
+    return _report(args, answer, [])
 
 
 def _parse_side(text: str, g: Graph) -> int:
@@ -224,7 +227,7 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
             return EXIT_INFEASIBLE, [_result_line(None, False)] + out
         used = _coloring_classes(res.colors)
         out.append(f"classes: {_vertex_list(res.class_mask(0))} | {_vertex_list(res.class_mask(1))}")
-        _emit_certificate(args, ct.Certificate(op, used, coloring=res.colors), out)
+        _emit_certificate(args, out, op, used, coloring=res.colors)
         return EXIT_OK, [_result_line(used, True)] + out
 
     if op in ("gallai-oe", "gallai-ee"):
@@ -233,7 +236,7 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
         coloring = tuple(0 if a >> v & 1 else 1 for v in range(g.n))
         out.append(f"part a: {_vertex_list(a)}")
         out.append(f"part b: {_vertex_list(b)}")
-        _emit_certificate(args, ct.Certificate(op, a.bit_count(), coloring=coloring), out)
+        _emit_certificate(args, out, op, a.bit_count(), coloring=coloring)
         return EXIT_OK, [_result_line(a.bit_count(), True)] + out
 
     if op == "odd-orient":
@@ -243,7 +246,7 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
             out.append(f"component {{{_vertex_list(comp)}}} has odd |V|+|E|")
             return EXIT_INFEASIBLE, [_result_line(None, False)] + out
         out.extend(f"orient {u + 1} {v + 1}" for u, v in res.arcs)
-        _emit_certificate(args, ct.Certificate("odd-orient", len(res.arcs), arcs=res.arcs), out)
+        _emit_certificate(args, out, "odd-orient", len(res.arcs), arcs=res.arcs)
         return EXIT_OK, [_result_line(len(res.arcs), True)] + out
 
     if op == "join-bound":
@@ -257,7 +260,7 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
         out.append(f"subgraph: {_vertex_list(res.subgraph)}")
         if res.coloring is not None:
             out.append("coloring: " + " ".join(str(c + 1) for c in res.coloring))
-        _emit_certificate(args, ct.Certificate("join-bound", size, vertex_set=res.subgraph), out)
+        _emit_certificate(args, out, "join-bound", size, vertex_set=res.subgraph)
         return EXIT_OK, [_result_line(size, True)] + out
 
     # cograph-3col
@@ -266,7 +269,7 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
         out.append(f"{res.reason}: {{{_vertex_list(res.detail)}}}")
         return EXIT_INFEASIBLE, [_result_line(None, False)] + out
     used = _coloring_classes(res)
-    _emit_certificate(args, ct.Certificate("cograph-3col", used, coloring=res), out)
+    _emit_certificate(args, out, "cograph-3col", used, coloring=res)
     return EXIT_OK, [_result_line(used, True)] + out
 
 
@@ -293,6 +296,8 @@ def _cmd_gen(args) -> tuple[int, list[str]]:
         n = args.n
         if n < 1:
             raise _CliError("--n must be >= 1")
+        if n > MAX_VERTICES:  # before the quadratic pair loop
+            raise _CliError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         if not 0 <= args.prob <= 1:
             raise _CliError("--prob must be in [0, 1]")
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)

@@ -308,6 +308,12 @@ def subdivided_clique_edges(n: int) -> tuple[list[tuple[int, int]], dict[tuple[i
     return edges, sub
 
 
+def _check_order(n: int) -> None:
+    """Refuse a generated vertex count that parse_graph would refuse."""
+    if n > MAX_VERTICES:
+        raise GraphError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+
+
 def gen_family(name: str, n: int | None = None) -> Graph:
     """Construct a named graph family member.
 
@@ -323,12 +329,15 @@ def gen_family(name: str, n: int | None = None) -> Graph:
             raise GraphError(f"{name} needs n >= 2")
         if n % 2:
             raise GraphError(f"{name} needs even n, got {n}")
+        order = n + n * (n - 1) // 2
+        _check_order(order)
         edges, _ = subdivided_clique_edges(n)
         if name == "hn-split":
             edges += [(i, j) for i in range(n) for j in range(i + 1, n)]
-        return Graph.from_edges(n + n * (n - 1) // 2, edges)
+        return Graph.from_edges(order, edges)
     if name in ("path", "cycle", "clique", "star"):
         if n is None or n < 1:
             raise GraphError(f"{name} needs n >= 1")
+        _check_order(n)
         return {"path": _path, "cycle": _cycle, "clique": _clique, "star": _star}[name](n)
     raise GraphError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")

@@ -237,3 +237,6 @@ def test_gen_family_argument_validation():
         gen_family("path")  # needs n
     with pytest.raises(GraphError):
         gen_family("cycle", 2)
+    # the subdivided K_1448 has 1448 + 1448 * 1447 / 2 vertices
+    with pytest.raises(GraphError, match=f"1049076 vertices exceed the limit of {MAX_VERTICES}"):
+        gen_family("kn-subdivided", 1448)
