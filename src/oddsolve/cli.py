@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 
 from . import certificates as ct
 from . import dp, rankdec
-from .graph import (FAMILIES, MAX_VERTICES, Graph, gen_family, parse_graph, vertices_of,
-                    write_graph)
+from .graph import (FAMILIES, Graph, _check_order, _check_pairs, gen_family, parse_graph,
+                    vertices_of, write_graph)
 
 __all__ = ["main"]
 
@@ -292,14 +291,17 @@ def _cmd_gen(args) -> tuple[int, list[str]]:
     if args.what == "family":
         g = gen_family(args.name, args.n)
     elif args.what == "random":
-        rng = random.Random(args.seed)
         n = args.n
         if n < 1:
             raise _CliError("--n must be >= 1")
-        if n > MAX_VERTICES:  # before the quadratic pair loop
-            raise _CliError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+        # before the pair loop, which walks every pair whatever --prob is
+        _check_order(n)
+        _check_pairs(n)
         if not 0 <= args.prob <= 1:
             raise _CliError("--prob must be in [0, 1]")
+        import random
+
+        rng = random.Random(args.seed)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < args.prob]
         g = Graph.from_edges(n, edges)

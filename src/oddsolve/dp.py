@@ -77,9 +77,9 @@ subset join's mask-cut loop is a copy of its own.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import groupby
 from operator import itemgetter, or_
-from typing import Iterator
 
 from .gf2 import row_basis
 from .graph import Graph, vertices_of

@@ -1,22 +1,23 @@
 """Dense GF(2) linear algebra on int-bitmask rows.
 
 A vector over GF(2)^w is an int whose bit j is coordinate j.  `row_basis` is
-the one elimination routine: it pivots on the lowest set bit, i.e. the
-smallest column index, prefers earlier rows, and keeps its rows fully
-reduced, so the basis is the lexicographically earliest one and its reduced
-rows are the canonical form of the row space.  `solve` runs it over the
-columns of a system.  `rank_of` is a rank-only loop kept for speed, and
-`single_row_basis` is `row_basis` of one row, which needs no elimination.
+the package's one elimination loop.  It pivots on the lowest set bit, i.e.
+the smallest column index, and prefers earlier rows, so its basis is the
+lexicographically earliest one.  It keeps an echelon form keyed by pivot: a
+new row is reduced only at the pivots it meets, so the cost follows the bits
+it touches, not the rank.  `RowBasis.reduced_rows` back-reduces on demand to
+the canonical form of the row space.  `solve` runs `row_basis` over the
+columns of a system, and `single_row_basis` is `row_basis` of one row, which
+needs no loop.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._frozen import Frozen
 
 __all__ = [
     "RowBasis",
-    "rank_of",
     "row_basis",
     "single_row_basis",
     "solve",
@@ -28,16 +29,17 @@ class RowBasis(Frozen):
 
     ``basis_row_indices`` are the earliest input rows forming a row basis;
     ``coordinates`` expresses any row-space vector over exactly those rows.
-    The reduced rows are fully reduced: each pivot bit is set in its own row
-    only, so they are the unique reduced echelon form of the row space.
+    The elements are in echelon form: each one's lowest set bit is its
+    pivot, no two share a pivot, and they are kept in ascending pivot order.
     """
 
     __slots__ = ("basis_row_indices", "_elems")
     basis_row_indices: tuple[int, ...]
-    # (pivot bit, reduced row, combination over basis positions), in insertion order
-    _elems: tuple[list[int], ...]
+    # (pivot bit, row, combination over basis positions), by ascending pivot
+    _elems: list[tuple[int, int, int]]
 
-    def __init__(self, basis_row_indices: tuple[int, ...], _elems: tuple[list[int], ...]) -> None:
+    def __init__(self, basis_row_indices: tuple[int, ...],
+                 _elems: list[tuple[int, int, int]]) -> None:
         object.__setattr__(self, "basis_row_indices", basis_row_indices)
         object.__setattr__(self, "_elems", _elems)
 
@@ -48,7 +50,10 @@ class RowBasis(Frozen):
     def coordinates(self, vec: int) -> int | None:
         """Combination of basis rows equal to `vec`, or None if outside the span.
 
-        The result is a bitmask over positions in ``basis_row_indices``.
+        The result is a bitmask over positions in ``basis_row_indices``.  An
+        element's row has no bit below its pivot, so one pass in ascending
+        pivot order clears every pivot bit of `vec`; walking `vec` by its own
+        lowest bit instead would negate a w-bit int at every step.
         """
         cur = vec
         combo = 0
@@ -59,58 +64,47 @@ class RowBasis(Frozen):
         return None if cur else combo
 
     def reduced_rows(self) -> tuple[int, ...]:
-        """The reduced rows sorted by pivot: equal exactly for equal row spaces."""
-        return tuple(row for _, row, _ in sorted(self._elems))
+        """The fully reduced rows sorted by pivot: each pivot bit is set in
+        its own row only, so they are equal exactly for equal row spaces.
+
+        Rows are reduced from the highest pivot down.  A reduced row holds no
+        pivot bit but its own, so reducing against it clears that bit and
+        sets no other pivot bit.
+        """
+        done: list[tuple[int, int]] = []
+        for pivot, row, _ in reversed(self._elems):
+            for other, red in done:
+                if row & other:
+                    row ^= red
+            done.append((pivot, row))
+        return tuple(row for _, row in reversed(done))
 
 
 def row_basis(rows: Iterable[int]) -> RowBasis:
     """Eliminate `rows` in order; zero and dependent rows leave no trace."""
-    elems: list[list[int]] = []
+    by_pivot: dict[int, tuple[int, int, int]] = {}
     basis_idx: list[int] = []
     for i, row in enumerate(rows):
         cur = row
         combo = 0
-        for pivot, red, cmb in elems:
-            if cur & pivot:
-                cur ^= red
-                combo ^= cmb
-        if cur:
-            combo ^= 1 << len(elems)
+        while cur:
             pivot = cur & -cur
-            for e in elems:
-                if e[1] & pivot:
-                    e[1] ^= cur
-                    e[2] ^= combo
-            elems.append([pivot, cur, combo])
-            basis_idx.append(i)
-    return RowBasis(tuple(basis_idx), tuple(elems))
+            elem = by_pivot.get(pivot)
+            if elem is None:
+                by_pivot[pivot] = (pivot, cur, combo ^ 1 << len(basis_idx))
+                basis_idx.append(i)
+                break
+            cur ^= elem[1]
+            combo ^= elem[2]
+    return RowBasis(tuple(basis_idx), sorted(by_pivot.values()))
 
 
 def single_row_basis(row: int) -> RowBasis:
-    """``row_basis([row])`` without its loops: the empty basis for 0, else
+    """``row_basis([row])`` without its loop: the empty basis for 0, else
     `row` alone, pivoting on its lowest bit."""
     if not row:
-        return RowBasis((), ())
-    return RowBasis((0,), ([row & -row, row, 1],))
-
-
-def rank_of(rows: Iterable[int]) -> int:
-    """Rank of a set of bitmask rows (column count implicit).
-
-    Kept beside `row_basis` for `width()` and `optimal_linear`, which need the
-    rank alone: `row_basis(...).rank`, which also reduces fully and tracks
-    coordinates, made them about 1.5x slower.
-    """
-    basis: list[int] = []
-    for row in rows:
-        cur = row
-        for b in basis:
-            low = b & -b
-            if cur & low:
-                cur ^= b
-        if cur:
-            basis.append(cur)
-    return len(basis)
+        return RowBasis((), [])
+    return RowBasis((0,), [(row & -row, row, 1)])
 
 
 def solve(cols: Sequence[int], rhs: int) -> int | None:

@@ -8,7 +8,7 @@ memory is 0-indexed.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from ._frozen import Frozen
 
@@ -30,6 +30,9 @@ __all__ = [
 # to n bits per vertex, 2^20 vertices is far beyond any solve; the bound
 # keeps a hostile `p edge` line from allocating its count before an edge.
 MAX_VERTICES = 1 << 20
+# The most vertex pairs `gen` builds or walks for a clique or a random graph;
+# quadratic in n, so far below what MAX_VERTICES alone would let through.
+MAX_EDGES = 1 << 22
 
 FAMILIES = (
     "k222",
@@ -314,6 +317,14 @@ def _check_order(n: int) -> None:
         raise GraphError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
 
 
+def _check_pairs(n: int) -> None:
+    """Refuse a vertex count whose n(n - 1)/2 vertex pairs exceed MAX_EDGES,
+    before a clique, or a loop over every pair, is started."""
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_EDGES:
+        raise GraphError(f"{n} vertices give {pairs} vertex pairs, over the limit of {MAX_EDGES}")
+
+
 def gen_family(name: str, n: int | None = None) -> Graph:
     """Construct a named graph family member.
 
@@ -339,5 +350,7 @@ def gen_family(name: str, n: int | None = None) -> Graph:
         if n is None or n < 1:
             raise GraphError(f"{name} needs n >= 1")
         _check_order(n)
+        if name == "clique":
+            _check_pairs(n)
         return {"path": _path, "cycle": _cycle, "clique": _clique, "star": _star}[name](n)
     raise GraphError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}")

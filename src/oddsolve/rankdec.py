@@ -8,10 +8,10 @@ the bipartite adjacency matrix across any of these cuts.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
+from collections.abc import Iterator
 
 from ._frozen import Frozen
-from .gf2 import rank_of, row_basis, single_row_basis
+from .gf2 import row_basis, single_row_basis
 from .graph import Graph, GraphError, vertices_of
 
 __all__ = [
@@ -236,9 +236,9 @@ def width(g: Graph, t: DecompositionTree, stop_at: int | None = None) -> int:
         if not (a_bd & (a_bd - 1) and b_bd & (b_bd - 1)):
             rank = 1 if a_bd else 0
         elif a_bd.bit_count() <= b_bd.bit_count():
-            rank = rank_of(adj[v] & ~a for v in vertices_of(a_bd))
+            rank = row_basis(adj[v] & ~a for v in vertices_of(a_bd)).rank
         else:
-            rank = rank_of(adj[w] & a for w in vertices_of(b_bd))
+            rank = row_basis(adj[w] & a for w in vertices_of(b_bd)).rank
         best = max(best, rank)
         if stop_at is not None and best >= stop_at:
             break
@@ -394,7 +394,7 @@ def optimal_linear(g: Graph) -> DecompositionTree:
                 best = sub
                 best_v = low.bit_length() - 1
             rest ^= low
-        cr = rank_of(adj[v] & ~s for v in vertices_of(s))
+        cr = row_basis(adj[v] & ~s for v in vertices_of(s)).rank
         f[s] = max(cr, best)
         choice[s] = best_v
     seq = [0] * n

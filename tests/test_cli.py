@@ -111,8 +111,13 @@ TOY_CNF = "p cnf 3 3\n1 2 -3 0\n2 3 -1 0\n3 1 -2 0\n"
      "1048577 vertices exceed the limit of 1048576"),            # GraphError
     (("gen", "random", "--n", "1048577", "--prob", "0", "--out"), "",
      "1048577 vertices exceed the limit of 1048576"),            # before the pair loop
+    (("gen", "random", "--n", "1048576", "--prob", "0", "--out"), "",
+     "1048576 vertices give 549755289600 vertex pairs, over the limit of 4194304"),
+    (("gen", "family", "clique", "--n", "100000", "--out"), "",
+     "100000 vertices give 4999950000 vertex pairs, over the limit of 4194304"),
 ], ids=["oracle-cap", "cnf-format", "cnf-shape", "cnf-declared-count", "cnf-negative",
-        "graph-vertex-count", "gen-family-vertex-count", "gen-random-vertex-count"])
+        "graph-vertex-count", "gen-family-vertex-count", "gen-random-vertex-count",
+        "gen-random-pair-count", "gen-clique-edge-count"])
 def test_package_errors_exit_1_with_one_line(capsys, tmp_path, command, text, needle):
     path = tmp_path / "input"
     path.write_text(text)
@@ -162,6 +167,18 @@ def test_solve_imports_only_the_solve_path(p4_file, tmp_path):
     assert orc == [0, ["oddsolve.oracle", "oddsolve.parity", "dataclasses", "inspect"]]
     assert gen == [0, ["oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions",
                        "dataclasses", "inspect"]]
+
+
+def test_cli_import_leaves_out_typing_and_random():
+    """Importing the CLI loads neither `typing` nor `random`: no annotation
+    is evaluated, and only `gen random` draws random numbers.  `-S` keeps
+    `site`, which may import both, out of the child."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, oddsolve.cli; print(sorted({'typing', 'random'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.strip() == "[]"
 
 
 def test_threads_env_fallback(capsys, c6_file, monkeypatch):

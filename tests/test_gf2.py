@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from oddsolve.gf2 import rank_of, row_basis, single_row_basis, solve
+from oddsolve.gf2 import row_basis, single_row_basis, solve
 
 
 def apply(cols: list[int], x: int) -> int:
@@ -24,11 +24,19 @@ def independent_mask(cols: list[int]) -> int:
     return sum(1 << j for j in row_basis(cols).basis_row_indices)
 
 
+def span_of(rows: list[int]) -> set[int]:
+    """Every XOR of a subset of `rows`, by enumeration."""
+    span = {0}
+    for r in rows:
+        span |= {v ^ r for v in span}
+    return span
+
+
 def test_rank_small_cases():
-    assert rank_of([]) == 0
-    assert rank_of([0, 0]) == 0
-    assert rank_of([0b1, 0b10, 0b11]) == 2
-    assert rank_of([0b111, 0b110, 0b001]) == 2
+    assert row_basis([]).rank == 0
+    assert row_basis([0, 0]).rank == 0
+    assert row_basis([0b1, 0b10, 0b11]).rank == 2
+    assert row_basis([0b111, 0b110, 0b001]).rank == 2
 
 
 def test_single_row_basis_is_row_basis_of_one_row():
@@ -42,10 +50,7 @@ def test_rank_matches_span_enumeration():
     rng = random.Random(3)
     for _ in range(40):
         rows = [rng.randrange(1 << 6) for _ in range(rng.randrange(6))]
-        span = {0}
-        for r in rows:
-            span |= {v ^ r for v in span}
-        assert 1 << rank_of(rows) == len(span)
+        assert 1 << row_basis(rows).rank == len(span_of(rows))
 
 
 def combine(rows: list[int], basis_idx: tuple[int, ...], coords: int) -> int:
@@ -66,11 +71,10 @@ def test_row_basis_rows_are_earliest():
     for _ in range(60):
         rows = [rng.randrange(1 << 5) for _ in range(rng.randrange(8))]
         # a row enters the basis exactly when the rows before it do not span it
-        earliest = tuple(i for i, r in enumerate(rows)
-                         if rank_of(rows[:i + 1]) > rank_of(rows[:i]))
+        earliest = tuple(i for i, r in enumerate(rows) if r not in span_of(rows[:i]))
         b = row_basis(rows)
         assert b.basis_row_indices == earliest
-        assert b.rank == rank_of(rows)
+        assert 1 << b.rank == len(span_of(rows))
 
 
 def test_row_basis_is_invariant_when_in_span_rows_are_appended():
@@ -120,13 +124,79 @@ def test_reduced_rows_are_canonical_for_the_row_space():
                        for _ in range(3)]
         assert row_basis(shuffled).reduced_rows() == red
         assert row_basis(rows + extra).reduced_rows() == red
-        assert len(red) == rank_of(rows)
+        span = span_of(rows)
+        assert 1 << len(red) == len(span)
         pivots = [r & -r for r in red]
         assert pivots == sorted(pivots)
         for piv in pivots:
             assert sum(1 for r in red if r & piv) == 1
         # the reduced rows span the same space as the input rows
-        assert row_basis(red).rank == rank_of(rows + list(red)) == len(red)
+        assert span_of(list(red)) == span
+
+
+def banded_system(rng: random.Random, k: int, band: int) -> tuple[list[int], tuple[int, ...]]:
+    """Rows over k + band columns with zero rows and XORs of earlier rows
+    interleaved, and the indices of the k band rows among them.
+
+    Band row i has top bit i + band and random bits in [i - band, i + band),
+    so no earlier row reaches its top bit and the band rows are exactly the
+    earliest basis.  With band 1 the rows are tridiagonal, like the vertex
+    system of a path.
+    """
+    rows: list[int] = []
+    fresh: list[int] = []
+    for i in range(k):
+        low = max(0, i - band)
+        fresh.append(len(rows))
+        rows.append(1 << (i + band) | rng.randrange(1 << (i + band - low)) << low)
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append(0)
+        elif roll < 0.3:
+            rows.append(combine(rows, tuple(range(len(rows))), rng.randrange(1 << len(rows))))
+    return rows, tuple(fresh)
+
+
+def test_wide_banded_systems():
+    """Rows of 300 bits and more: the echelon form spans many int digits, and
+    a row is reduced at pivots far from its own lowest bit."""
+    rng = random.Random(11)
+    for k, band in ((300, 1), (320, 2), (400, 3)):
+        rows, fresh = banded_system(rng, k, band)
+        b = row_basis(rows)
+        assert b.basis_row_indices == fresh
+        # every input row, and every combination of basis rows, round trips
+        for row in rows:
+            assert combine(rows, fresh, b.coordinates(row)) == row
+        for _ in range(20):
+            coords = rng.randrange(1 << k)
+            assert b.coordinates(combine(rows, fresh, coords)) == coords
+        # rank k over k + band columns: some vectors lie outside the span
+        outside = 0
+        for _ in range(40):
+            vec = rng.randrange(1 << (k + band))
+            coords = b.coordinates(vec)
+            if coords is None:
+                outside += 1
+            else:
+                assert combine(rows, fresh, coords) == vec
+        assert outside
+        # the rows as the columns of a system
+        rhs = apply(rows, rng.randrange(1 << len(rows)))
+        x = solve(rows, rhs)
+        assert apply(rows, x) == rhs
+        assert x & ~sum(1 << i for i in fresh) == 0
+        assert solve(rows, rhs ^ 1 << (k + band)) is None
+        # the reduced form is canonical: shuffling the rows keeps it
+        red = b.reduced_rows()
+        assert len(red) == k
+        pivots = [r & -r for r in red]
+        assert pivots == sorted(pivots)
+        for piv in pivots:
+            assert sum(1 for r in red if r & piv) == 1
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        assert row_basis(shuffled).reduced_rows() == red
 
 
 def test_solve_agrees_with_enumeration_on_small_systems():

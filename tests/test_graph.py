@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from conftest import degrees_within, rand_graph
 from oddsolve.graph import (
     FAMILIES,
+    MAX_EDGES,
     MAX_VERTICES,
     Graph,
     GraphError,
@@ -240,3 +241,7 @@ def test_gen_family_argument_validation():
     # the subdivided K_1448 has 1448 + 1448 * 1447 / 2 vertices
     with pytest.raises(GraphError, match=f"1049076 vertices exceed the limit of {MAX_VERTICES}"):
         gen_family("kn-subdivided", 1448)
+    # K_2897 has 4,194,856 edges, the first clique over the edge bound
+    with pytest.raises(GraphError, match=f"2897 vertices give 4194856 vertex pairs, "
+                                         f"over the limit of {MAX_EDGES}"):
+        gen_family("clique", 2897)
