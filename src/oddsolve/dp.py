@@ -31,7 +31,7 @@ partial solution's defect (which vertices constrain the completion, and
 which need odd outside degree) is two masks, D from two constants per
 problem and node and E from the children's E and crossing vectors, so the
 join makes one call per pair of entries, to the cut's signature function.
-Where the parent and both children are mask cuts (every leaf is one), it
+Where the parent and both children are mask cuts (a leaf's cut is one), it
 makes none: each child's half of the parent signature is an affine bit map
 of the child's own key, so a pair costs an XOR and a mask test (see
 `_join_masks`).
@@ -66,6 +66,14 @@ parent state of every pair of child states, so a pair costs one
 `coset_sig` call however many keys and arrangements it occurs in.  That
 is sound because the parent state depends only on the two child states
 (see `_join_table_qcol`).
+
+Leaves are not nodes of the sweep, and they are half of a tree's nodes.
+A leaf's cut ({u}, V \\ {u}) is a mask cut with basis (u,), or none for
+an isolated u, and its table holds at most S = {} and S = {u}.  So no
+leaf builds a cut or a table: a join with a leaf child takes that leaf's
+side straight from u's row at the join's cut, as `_lift` would give it
+over the leaf's table (`_leaf_side`, `_leaf_side_qcol`).  Every joined
+node's table is the one it would be with the leaf tables built.
 
 Both joins lift child code groups with the one function `_lift`, read a
 child's E off its key or from `_odd_part`, and run the same group-pair
@@ -291,34 +299,55 @@ def _lift(g: Graph, parent: _NodeCut, child: _NodeCut, sibling: int, groups) -> 
     return lifted
 
 
-def _leaf_table(cut: _NodeCut, u: int, kind: str):
-    """The entries S = {} and S = {u}.  The cut's basis is (u,) when u has a
-    neighbor and empty when not, so the code of S is 1 exactly when S meets
-    ∂A: ``(s & ∂A) >> u``, with no call to `a_code`.  That makes
-    rank = |∂A|: a leaf is a mask cut."""
-    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
-    a_boundary = cut.a_boundary
-    table: dict[int, dict[_Sig, int]] = {}
-    for s in (0, 1 << u):
-        d = (s & keep) ^ set_
-        sig = cut.coset_sig(d, d & flip)  # parities P = 0
-        if sig is None:
-            continue
-        table.setdefault((s & a_boundary) >> u, {})[sig] = s
-    return table
+def _leaf_side(g: Graph, cut: _NodeCut | None, u: int, kind: str):
+    """Leaf u as a subset join's side ``(A, masks, ∂A, lifted)`` at `cut`,
+    taken from u's row alone: `lifted` is what `_lift` gives over the table
+    of S = {} and S = {u} at the cut ({u}, V \\ {u}), which no sweep builds.
+
+    That cut is a mask cut, and A = {u} holds both D's.  When u has a
+    neighbor, ∂A = A, the basis is (u,), S's code is 1 exactly when S =
+    {u}, and the zero mask is empty: S = {} is the code-0 group, lifted to
+    (0, 0), and S = {u} the code-1 group, lifted to u's own image
+    ``(coordinates(adj[u] & B), adj[u] & sibling)``, each with the signature
+    ``D | E << n``.  When u is isolated, the basis is empty and the zero
+    mask is A: an entry survives exactly when E = 0, with code 0 and
+    signature 0, so one group (0, 0) holds the later survivor (S = {u}
+    replaces S = {} where both survive, as for mes), and no group is left
+    where neither does (tds).  `cut` is read only when u has a neighbor.
+    """
+    bit, row, n = 1 << u, g.adj[u], g.n
+    keep, set_, flip = _SUBSET_KINDS[kind](bit)
+    d_empty, d_u = set_, (bit & keep) ^ set_  # D of S = {} and of S = {u}
+    if row:
+        up = cut.a_dec.coordinates(row & cut.b)
+        return bit, True, bit, [(0, 0, {d_empty | (d_empty & flip) << n: 0}),
+                                (up, row & cut.a & ~bit, {d_u | (d_u & flip) << n: bit})]
+    survivor = bit if not d_u & flip else 0 if not d_empty & flip else None
+    return bit, True, 0, [] if survivor is None else [(0, 0, {0: survivor})]
 
 
-def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kind: str):
-    """Join two subset tables one pair of code groups at a time.
+def _subset_side(g: Graph, cut: _NodeCut, child, kind: str):
+    """A subset join's side ``(A, masks, ∂A, lifted)`` for `child`: a joined
+    node's (cut, table), lifted by `_lift`, or a leaf's vertex."""
+    if isinstance(child, int):
+        return _leaf_side(g, cut, child, kind)
+    c, tab = child
+    return c.a, c.masks, c.a_boundary, _lift(g, cut, c, cut.a & ~c.a, tab.items())
+
+
+def _join_table(g: Graph, cut: _NodeCut, x, y, kind: str):
+    """Join two subset tables one pair of code groups at a time.  Each of
+    `x`, `y` is a joined node's (cut, table) or a leaf's vertex, whose side
+    `_leaf_side` builds without a table.
 
     What depends on codes alone is hoisted out of the pair loop: `_lift`
-    gives each group its parent code and its crossing vector masked to the
-    sibling once, the parent code ``up_x ^ up_y`` is formed once per pair
-    of groups, and each y entry's odd part is fixed by the x crossing
-    vector once.  The y entries run outside the x entries.  The pair loop
-    forms the parent's (D, E), makes its one call, to the cut's
-    `coset_sig`, and keeps the better witness under the plain signature in
-    the ``up`` group: more vertices when maximizing, fewer when not, then
+    (or `_leaf_side`) gives each group its parent code and its crossing
+    vector masked to the sibling once, the parent code ``up_x ^ up_y`` is
+    formed once per pair of groups, and each y entry's odd part is fixed by
+    the x crossing vector once.  The y entries run outside the x entries.
+    The pair loop forms the parent's (D, E), makes its one call, to the
+    cut's `coset_sig`, and keeps the better witness under the plain
+    signature in the ``up`` group: more vertices when maximizing, fewer when not, then
     the lexicographically least.  A group that gets no entry is deleted, so
     a table with no entry is still empty.
 
@@ -337,15 +366,14 @@ def _join_table(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty, kin
     the same loop on the children's signatures instead, with no call.
     """
     maximize = _MAXIMIZING[kind]
-    lifted_x = _lift(g, cut, cx, cy.a, tx.items())
-    lifted_y = _lift(g, cut, cy, cx.a, ty.items())
-    if cut.masks and cx.masks and cy.masks:
-        return _join_masks(g.n, cut, lifted_x, lifted_y, maximize)
+    side_x, side_y = _subset_side(g, cut, x, kind), _subset_side(g, cut, y, kind)
+    if cut.masks and side_x[1] and side_y[1]:
+        return _join_masks(g.n, cut, side_x[3], side_y[3], maximize)
     keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     n, adj = g.n, g.adj
     sides = []
-    for child, lifted in ((cx, lifted_x), (cy, lifted_y)):
-        set_c, masks, bd = set_ & child.a, child.masks, child.a_boundary
+    for a_c, masks, bd, lifted in (side_x, side_y):
+        set_c = set_ & a_c
         sides.append([(up, cross, [(s, (s & keep) ^ set_c, sig >> n if masks else
                                     _odd_part(adj, s, keep, set_c, flip, bd))
                                    for sig, s in entries.items()])
@@ -472,18 +500,39 @@ def _distinct_orders(states: tuple) -> Iterator[list[int]]:
         seq[i + 1:] = reversed(seq[i + 1:])
 
 
-def _leaf_table_qcol(cut: _NodeCut, u: int, q: int):
-    """One orbit: u's own class state beside q - 1 empty classes.  The
-    empty class has code 0 and u's code 1, so the states are in order and
-    the key is ``(0, ..., 0, 1)``."""
-    states = [((code, sig), s) for code, group in _leaf_table(cut, u, "mos").items()
-              for sig, s in group.items()]
-    if len(states) < 2:  # u cannot lie in an odd class
-        return states, {}
-    return states, {(0,) * (q - 1) + (1,): (0,) * (q - 1) + (1 << u,)}
+def _leaf_side_qcol(g: Graph, cut: _NodeCut, u: int, q: int):
+    """Leaf u as a q-coloring join's side ``(lifted, state count, table)``
+    at `cut`, from u's row alone, as `_qcol_side` would give it over the
+    leaf's states and table.  State 0 is the empty class (code 0, signature
+    0, E = 0) and state 1 is {u} (code 1, E = {u}, lifted as in
+    `_leaf_side`); the one key is u's class beside q - 1 empty classes,
+    ``(0, ..., 0, 1)``.  u has a neighbor: an isolated u lies in no odd
+    class, so its table has no key, and the sweep stops there.
+    """
+    row = g.adj[u]
+    bit = 1 << u
+    zeros = (0,) * (q - 1)
+    up = cut.a_dec.coordinates(row & cut.b)
+    return ([(0, 0, [(0, 0, 0)]), (up, row & cut.a & ~bit, [(1, bit, bit)])], 2,
+            {zeros + (1,): zeros + (bit,)})
 
 
-def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty):
+def _qcol_side(g: Graph, cut: _NodeCut, child, q: int):
+    """A q-coloring join's side ``(lifted, state count, table)`` for
+    `child`: a joined node's (cut, (states, table)), or a leaf's vertex.
+    `lifted` holds each run of one code in the state list, as ``(up, cross,
+    [(state id, S, E), ...])``."""
+    if isinstance(child, int):
+        return _leaf_side_qcol(g, cut, child, q)
+    c, (states, table) = child
+    n, adj, masks, bd = g.n, g.adj, c.masks, c.a_boundary
+    groups = [(code, [(i, s, sig >> n if masks else _odd_part(adj, s, -1, 0, -1, bd))
+                      for i, ((_, sig), s) in run])
+              for code, run in groupby(enumerate(states), lambda e: e[1][0][0])]
+    return _lift(g, cut, c, cut.a & ~c.a, groups), len(states), table
+
+
+def _join_table_qcol(g: Graph, cut: _NodeCut, x, y, q: int):
     """Every x key in its sorted order against every distinct arrangement of
     each y key's multiset: equal y states give equal results, so this
     covers every matching of x classes to y classes.  The arrangements are
@@ -494,9 +543,9 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
     First the parent state of every pair of child states is put in
     ``pairs[i_y][i_x]`` (None if the class cannot be completed), by the
     subset join's group-pair loop with the mos defect: each state list's
-    runs of one code are lifted by `_lift`, and a pair costs one
-    `coset_sig` call, on the states' witnesses and their E as in
-    `_join_table`.  The distinct parent states are then sorted, each
+    runs of one code are lifted by `_lift` (a leaf child's two states by
+    `_leaf_side_qcol`), and a pair costs one `coset_sig` call, on the
+    states' witnesses and their E as in `_join_table`.  The distinct parent states are then sorted, each
     keeping as witness ``S_x | S_y`` of the first pair that reaches it,
     and the rows are mapped to their ids.  A state no key uses stays listed.
     An arrangement picks its y states' rows, and each class position's
@@ -520,19 +569,13 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
     decodes to the direct loop's key and the table is the same entry by
     entry.
     """
-    n, adj = g.n, g.adj
-    sides = []
-    for child, (child_states, _), sibling in ((cx, tx, cy.a), (cy, ty, cx.a)):
-        masks, bd = child.masks, child.a_boundary
-        groups = [(code, [(i, s, sig >> n if masks else _odd_part(adj, s, -1, 0, -1, bd))
-                          for i, ((_, sig), s) in run])
-                  for code, run in groupby(enumerate(child_states), lambda e: e[1][0][0])]
-        sides.append(_lift(g, cut, child, sibling, groups))
+    lifted_x, count_x, tx = _qcol_side(g, cut, x, q)
+    lifted_y, count_y, ty = _qcol_side(g, cut, y, q)
     coset_sig = cut.coset_sig
-    pairs = [[None] * len(tx[0]) for _ in ty[0]]
+    pairs = [[None] * count_x for _ in range(count_y)]
     witness: dict[tuple[int, _Sig], int] = {}
-    for up_x, cross_xy, xs in sides[0]:
-        for up_y, cross_yx, ys in sides[1]:
+    for up_x, cross_xy, xs in lifted_x:
+        for up_y, cross_yx, ys in lifted_y:
             up = up_x ^ up_y
             for i_y, sy, ey in ys:
                 ey ^= sy & cross_xy
@@ -546,10 +589,10 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
     ids = {st: i for i, (st, _) in enumerate(states)}
     pairs = [list(map(ids.get, row)) for row in pairs]
     second = itemgetter(1)
-    vals_x = list(tx[1].values())
-    columns = list(zip(*tx[1]))  # the x keys' ids at each position
+    vals_x = list(tx.values())
+    columns = list(zip(*tx))  # the x keys' ids at each position
     table: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for keyy, valy in ty[1].items():
+    for keyy, valy in ty.items():
         for order in _distinct_orders(keyy):
             ids_at = [map(pairs[keyy[j]].__getitem__, col) for j, col in zip(order, columns)]
             for key_ids, valx in zip(zip(*ids_at), vals_x):
@@ -563,35 +606,49 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, cx: _NodeCut, cy: _NodeCut, tx, ty
 
 
 def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
-    """Bottom-up sweep; returns the root table, or the first table that
-    holds no entry.  A q-coloring table is ``(states, table)``.
+    """Bottom-up sweep over the joins; returns the root table, or the first
+    table that holds no entry.  A q-coloring table is ``(states, table)``.
 
-    `collect`, if a dict, receives {node: (cut, table)} for inspection.
+    A leaf is not a node of the sweep: it gets no cut and no table, and a
+    join takes a leaf child's side straight from u's row at the join's cut
+    (`_leaf_side`, `_leaf_side_qcol`).  The one exception is an isolated u,
+    whose table needs no cut: its side's one group, or none (odd-tds), and
+    for a q-coloring no key.  The sweep reads that table, and stops there
+    when it holds no entry, as at any empty table; a one-vertex graph's
+    root is such a leaf.
+
+    `collect`, if a dict, receives {node: (cut, table)} for each join.
     """
     t.validate_for(g)
     full = g.full_mask
-    cuts: dict[int, _NodeCut] = {}
-    tables: dict[int, dict] = {}
+    leaf_vertex = t.leaf_vertex
+    qcol = kind == "qcol"
+    joined: dict[int, tuple] = {}  # node -> (cut, table) until its parent joins
     for node, a_mask, a_bd, _ in cut_walk(g, t):
+        if node in leaf_vertex:
+            if not a_bd:
+                if qcol:  # state 0, the empty class; {u} is no odd class
+                    tab = [((0, 0), 0)], {}
+                else:
+                    tab = {up: group for up, _, group in
+                           _leaf_side(g, None, leaf_vertex[node], kind)[3]}
+                if node == t.root or not (tab[1] if qcol else tab):
+                    return tab
+            continue
         cut = _NodeCut(g, a_mask, a_bd, full & ~a_mask)
-        if t.is_leaf(node):
-            u = t.leaf_vertex[node]
-            tab = _leaf_table_qcol(cut, u, q) if kind == "qcol" else _leaf_table(cut, u, kind)
+        x, y = t.children[node]
+        x = leaf_vertex[x] if x in leaf_vertex else joined.pop(x)
+        y = leaf_vertex[y] if y in leaf_vertex else joined.pop(y)
+        if qcol:
+            tab = _join_table_qcol(g, cut, x, y, q)
         else:
-            x, y = t.children[node]
-            if kind == "qcol":
-                tab = _join_table_qcol(g, cut, cuts[x], cuts[y], tables[x], tables[y])
-            else:
-                tab = _join_table(g, cut, cuts[x], cuts[y], tables[x], tables[y], kind)
-            if collect is None:
-                del tables[x], tables[y], cuts[x], cuts[y]
-        cuts[node] = cut
-        tables[node] = tab
+            tab = _join_table(g, cut, x, y, kind)
+        joined[node] = cut, tab
         if collect is not None:
             collect[node] = (cut, tab)
-        if not (tab[1] if kind == "qcol" else tab):
+        if not (tab[1] if qcol else tab):
             return tab
-    return tables[t.root]
+    return joined[t.root][1]
 
 
 def _extract_subset(root_table) -> tuple[int, int] | None:

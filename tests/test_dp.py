@@ -343,6 +343,210 @@ def test_defect_constants_match_their_definitions():
                 assert _defect(kind, a, s, p) == want(a, s, p), (kind, a, s, p)
 
 
+# ------------------------------------------------------------ leaf tables
+
+# Reference leaves: a `_NodeCut` over ({u}, V \ {u}) and the table of
+# S = {} and S = {u}, which the sweep never builds.  The sides that joins
+# read off a leaf's row are checked against these, and `_swept` puts them
+# beside the sweep's joins, so that the tests below see every node's cut
+# and table.
+
+def _leaf_cut(g: Graph, u: int, a_bd: int | None = None):
+    """The cut ({u}, V \\ {u}); ∂A is {u} when u has a neighbor."""
+    a = 1 << u
+    if a_bd is None:
+        a_bd = a if g.adj[u] else 0
+    return dp._NodeCut(g, a, a_bd, g.full_mask & ~a)
+
+
+def _leaf_table(cut, u: int, kind: str):
+    """The entries S = {} and S = {u}, in that order, at the leaf's cut.
+    The cut's basis is (u,) when u has a neighbor and empty when not, so
+    the code of S is 1 exactly when S meets ∂A."""
+    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
+    table: dict = {}
+    for s in (0, 1 << u):
+        d = (s & keep) ^ set_
+        sig = cut.coset_sig(d, d & flip)  # parities P = 0
+        if sig is None:
+            continue
+        table.setdefault((s & cut.a_boundary) >> u, {})[sig] = s
+    return table
+
+
+def _leaf_table_qcol(cut, u: int, q: int):
+    """One orbit: u's own class state beside q - 1 empty classes, with key
+    ``(0, ..., 0, 1)``, or no key when u cannot lie in an odd class."""
+    states = [((code, sig), s) for code, group in _leaf_table(cut, u, "mos").items()
+              for sig, s in group.items()]
+    if len(states) < 2:
+        return states, {}
+    return states, {(0,) * (q - 1) + (1,): (0,) * (q - 1) + (1 << u,)}
+
+
+def _with_leaves(g: Graph, t, kind: str, q: int, collect: dict) -> dict:
+    """{node: (cut, table)} for every node a sweep passes, leaves included:
+    the sweep's joins from `collect`, and each leaf's reference cut over
+    `cut_walk`'s ∂A with its `_leaf_table` (or `_leaf_table_qcol`), in
+    postorder up to and including the first table with no entry."""
+    out: dict = {}
+    for node, a, a_bd, _ in rankdec.cut_walk(g, t):
+        if t.is_leaf(node):
+            u = t.leaf_vertex[node]
+            cut = _leaf_cut(g, u, a_bd)
+            assert cut.a == a
+            out[node] = cut, (_leaf_table_qcol(cut, u, q) if kind == "qcol" else
+                              _leaf_table(cut, u, kind))
+        else:
+            out[node] = collect[node]
+        tab = out[node][1]
+        if not (tab[1] if kind == "qcol" else tab):
+            break
+    return out
+
+
+def _swept(g: Graph, t, kind: str, q: int = 0) -> dict:
+    """`_with_leaves` of one sweep."""
+    collect: dict = {}
+    _run(g, t, kind, q=q, collect=collect)
+    return _with_leaves(g, t, kind, q, collect)
+
+
+def _listed(side):
+    """A subset side with each group's entries as a list, so that two sides
+    compare equal only with their entries in the same order."""
+    a, masks, bd, lifted = side
+    return a, masks, bd, [(up, cross, list(entries.items())) for up, cross, entries in lifted]
+
+
+def test_folded_leaf_sides_match_the_leaf_tables(monkeypatch):
+    """Each side a join takes from a leaf is the side the join would build
+    from the leaf's cut and table: `dp._lift` over `_leaf_cut` and
+    `_leaf_table`, groups and entries in the same order, for mos, mes, ds
+    and tds; and for q = 1..3, the lifted state groups, state count and
+    table `dp._qcol_side` gives over `_leaf_table_qcol`.  An isolated
+    vertex's table, which the sweep reads with no cut, is its `_leaf_table`,
+    and a one-vertex graph's root table is its leaf table.  Leaves on the x
+    side, on the y side and on both occur on every `tree_suite` shape, under
+    mask and rows parents, and isolated vertices occur, where mes's two leaf
+    entries share a key."""
+    subset_calls: list[tuple] = []
+    qcol_calls: list[tuple] = []
+    real_side, real_side_qcol = dp._leaf_side, dp._leaf_side_qcol
+
+    def spy(g, cut, u, kind):
+        side = real_side(g, cut, u, kind)
+        subset_calls.append((cut, u, kind, side))
+        return side
+
+    def spy_qcol(g, cut, u, q):
+        side = real_side_qcol(g, cut, u, q)
+        qcol_calls.append((cut, u, q, side))
+        return side
+
+    monkeypatch.setattr(dp, "_leaf_side", spy)
+    monkeypatch.setattr(dp, "_leaf_side_qcol", spy_qcol)
+    rng = random.Random(79)
+    shape_rng = random.Random(790)
+    kinds = ("mos", "mes", "ds", "tds")
+    seen = {f"{place} {kind}": 0 for place in ("x", "y", "both") for kind in kinds + ("qcol",)}
+    seen.update({"rows parent": 0, "isolated mes": 0, "no cut": 0, "q=1": 0, "q=2": 0, "q=3": 0})
+    shapes: set[int] = set()
+    graphs = [rand_graph(rng, rng.randrange(2, 10), rng.uniform(0.1, 0.8)) for _ in range(10)]
+    graphs += [_with_false_twins(rng, rng.randrange(3, 7), rng.uniform(0.3, 0.7), 2)]
+    for _ in range(3):  # isolated vertices beside a random graph, shuffled in
+        base = rand_graph(rng, rng.randrange(2, 7), rng.uniform(0.3, 0.8))
+        n = base.n + rng.randrange(1, 3)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs.append(Graph.from_edges(n, [(perm[u], perm[w]) for u, w in base.edges()]))
+    for g in graphs:
+        suite = tree_suite(g, rng, shape_rng)
+        for shape, t in enumerate(suite):
+            place = {}  # leaf vertex -> x, y or both, by its parent's children
+            for x, y in t.children.values():
+                both = t.is_leaf(x) and t.is_leaf(y)
+                for side, c in (("x", x), ("y", y)):
+                    if t.is_leaf(c):
+                        place[t.leaf_vertex[c]] = "both" if both else side
+            for kind, q in [(k, 0) for k in kinds] + [("qcol", q) for q in (1, 2, 3)]:
+                subset_calls.clear()
+                qcol_calls.clear()
+                _run(g, t, kind, q=q)
+                for cut, u, kind_, side in subset_calls:
+                    leaf = _leaf_cut(g, u)
+                    table = _leaf_table(leaf, u, kind_)
+                    if cut is None:  # an isolated vertex's own table
+                        assert not g.adj[u]
+                        assert [(up, cross, list(group.items())) for up, cross, group in side[3]] \
+                            == [(0, 0, list(group.items())) for group in table.values()]
+                        seen["no cut"] += 1
+                        continue
+                    want = dp._subset_side(g, cut, (leaf, table), kind_)
+                    assert _listed(side) == _listed(want), (kind_, u)
+                    seen[f"{place[u]} {kind_}"] += 1
+                    seen["rows parent"] += not cut.masks
+                    seen["isolated mes"] += kind_ == "mes" and not g.adj[u]
+                    shapes.add(shape)
+                for cut, u, q_, side in qcol_calls:
+                    leaf = _leaf_cut(g, u)
+                    want = dp._qcol_side(g, cut, (leaf, _leaf_table_qcol(leaf, u, q_)), q_)
+                    assert side == want, (q_, u)
+                    assert list(side[2].items()) == list(want[2].items())
+                    seen[f"{place[u]} qcol"] += 1
+                    seen[f"q={q_}"] += 1
+    # a one-vertex graph: its root is its one leaf, and every answer is
+    # that leaf's table
+    g1 = Graph.from_edges(1, [])
+    t1 = caterpillar(g1, [0])
+    leaf = _leaf_cut(g1, 0)
+    for kind in kinds:
+        assert list(_run(g1, t1, kind).items()) == list(_leaf_table(leaf, 0, kind).items())
+    for q in (1, 2, 3):
+        assert _run(g1, t1, "qcol", q=q) == _leaf_table_qcol(leaf, 0, q)
+    assert dp.solve_mos(g1, t1) == (0, 0) and dp.solve_mes(g1, t1) == (1, 1)
+    assert dp.solve_odd_ds(g1, t1) == (1, 1) and dp.solve_odd_tds(g1, t1) is None
+    assert dp.solve_odd_qcol(g1, t1, 3) is None
+    assert all(seen.values()), seen
+    assert shapes == set(range(len(suite))), shapes
+
+
+def test_no_sweep_builds_a_leaf_cut(monkeypatch):
+    """The sweep constructs one `_NodeCut` per join it runs, each over that
+    join's A, and none for a leaf: n - 1 cuts for a sweep that reaches the
+    root, none for a one-vertex graph.  Every kind, q = 1..3 and every
+    `tree_suite` shape, with isolated vertices among the graphs."""
+    built: list[int] = []
+    real_cut = dp._NodeCut
+
+    def counted_cut(g, a, a_bd, b):
+        built.append(a)
+        return real_cut(g, a, a_bd, b)
+
+    monkeypatch.setattr(dp, "_NodeCut", counted_cut)
+    rng = random.Random(80)
+    shape_rng = random.Random(800)
+    graphs = [rand_graph(rng, rng.randrange(1, 10), rng.uniform(0.1, 0.8)) for _ in range(10)]
+    graphs += [Graph.from_edges(1, []), Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])]
+    runs = [("mos", 0), ("mes", 0), ("ds", 0), ("tds", 0), ("qcol", 1), ("qcol", 2), ("qcol", 3)]
+    stopped = 0
+    for g in graphs:
+        for t in tree_suite(g, rng, shape_rng):
+            for kind, q in runs:
+                built.clear()
+                collect: dict = {}
+                _run(g, t, kind, q=q, collect=collect)
+                assert built == [cut.a for cut, _ in collect.values()]
+                assert all(a & (a - 1) for a in built)  # no cut over one vertex
+                assert set(collect) <= set(t.children)
+                if len(collect) < len(t.children):
+                    stopped += 1
+                tab = collect[t.root][1] if t.root in collect else None
+                if tab is not None and (tab[1] if kind == "qcol" else tab):
+                    assert len(built) == g.n - 1
+    assert stopped
+
+
 def _child_map(g: Graph, parent, child, sibling_mask: int):
     """code-at-child -> (code over the parent basis, parity mask on sibling),
     lifted one code at a time, independently of `dp._lift`."""
@@ -453,9 +657,8 @@ def test_join_kernel_matches_the_reference_loop(monkeypatch):
             g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for t in tree_suite(g, rng, shape_rng):
             for kind in ("mos", "mes", "ds", "tds"):
-                collect: dict = {}
                 masked.clear()
-                _run(g, t, kind, collect=collect)
+                collect = _swept(g, t, kind)
                 for node, (cut, tab) in collect.items():
                     if t.is_leaf(node):
                         continue
@@ -496,8 +699,7 @@ def test_mask_halves_are_the_parent_signature():
         low = (1 << n) - 1
         for t in tree_suite(g, rng, shape_rng):
             for kind in ("mos", "mes", "ds", "tds"):
-                collect: dict = {}
-                _run(g, t, kind, collect=collect)
+                collect = _swept(g, t, kind)
                 for node, (cut, _) in collect.items():
                     if t.is_leaf(node) or not _mask_cut(cut):
                         continue
@@ -650,8 +852,7 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
         g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for j, t in enumerate(tree_suite(g, rng, shape_rng)):
             kind = kinds[(i + j) % len(kinds)]
-            collect: dict = {}
-            _run(g, t, kind, q=2, collect=collect)
+            collect = _swept(g, t, kind, q=2)
             # count eliminations in coset_sig only, not in the cut setup
             monkeypatch.setattr(dp, "row_basis", counting_row_basis)
             for cut, tab in collect.values():
@@ -731,8 +932,7 @@ def test_mask_signatures_are_canonical_on_twin_classes():
         g = _with_false_twins(rng, rng.randrange(3, 8), rng.uniform(0.3, 0.7),
                               rng.randrange(1, 4))
         for t in tree_suite(g, rng, shape_rng):
-            collect: dict = {}
-            _run(g, t, "mos", collect=collect)
+            collect = _swept(g, t, "mos")
             for cut, tab in collect.values():
                 if len(cut.classes) != cut.rank:
                     continue
@@ -786,8 +986,7 @@ def test_mask_signatures_exactly_where_every_boundary_vertex_is_in_the_basis():
         else:
             g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for t in tree_suite(g, rng, shape_rng):
-            collect: dict = {}
-            _run(g, t, "mos", collect=collect)
+            collect = _swept(g, t, "mos")
             for cut, _ in collect.values():
                 masks = cut.rank == cut.a_boundary.bit_count()
                 factory = dp._mask_sig_twin_free if masks else dp._rows_sig
@@ -822,9 +1021,8 @@ def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
         else:
             g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for t in tree_suite(g, rng, shape_rng):
-            collect: dict = {}
             captured.clear()
-            _run(g, t, "mos", collect=collect)
+            collect = _swept(g, t, "mos")
             rows_of_cut = iter(captured)
             for cut, _ in collect.values():
                 pat = _outside_patterns(g, cut)
@@ -863,8 +1061,7 @@ def test_table_entries_are_internally_consistent():
         g = rand_graph(rng, 7, 0.5)
         t = bfs_tree(g)
         for kind in ("mos", "mes", "ds", "tds"):
-            collect: dict = {}
-            _run(g, t, kind, collect=collect)
+            collect = _swept(g, t, kind)
             for cut, tab in collect.values():
                 masks = _mask_cut(cut)
                 for code, sig, s in _subset_entries(tab):
@@ -897,8 +1094,7 @@ def test_odd_part_is_the_defects_odd_part_from_scratch():
             g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for t in tree_suite(g, rng, shape_rng):
             for kind in ("mos", "mes", "ds", "tds", "qcol"):
-                collect: dict = {}
-                _run(g, t, kind, q=3, collect=collect)
+                collect = _swept(g, t, kind, q=3)
                 defect = "mos" if kind == "qcol" else kind
                 for cut, tab in collect.values():
                     if kind == "qcol":
@@ -929,8 +1125,11 @@ def test_subset_tables_hold_no_empty_group():
     for g in graphs:
         for t in tree_suite(g, rng, shape_rng):
             for kind in ("mos", "mes", "ds", "tds"):
-                collect: dict = {}
-                root = _run(g, t, kind, collect=collect)
+                joins: dict = {}
+                root = _run(g, t, kind, collect=joins)
+                collect = _with_leaves(g, t, kind, 0, joins)
+                # the sweep ran exactly the joins up to its stop
+                assert list(joins) == [node for node in collect if not t.is_leaf(node)]
                 for _, tab in collect.values():
                     assert all(tab.values()), kind
                 emptied = [node for node, (_, tab) in collect.items()
@@ -941,7 +1140,10 @@ def test_subset_tables_hold_no_empty_group():
                     outcomes["empty"] += 1
                 else:
                     assert len(collect) == len(t.postorder())
-                    assert root is collect[t.root][1]
+                    if t.is_leaf(t.root):  # one vertex: no join, the leaf's own table
+                        assert list(root.items()) == list(collect[t.root][1].items())
+                    else:
+                        assert root is collect[t.root][1]
                     outcomes["root"] += 1
     assert all(outcomes.values()), outcomes
 
@@ -979,8 +1181,7 @@ def test_qcol_keys_are_the_sorted_class_states_of_every_coloring():
         g = rand_graph(rng, rng.choice((6, 8)), rng.uniform(0.3, 0.8))
         q = 2 + i % 2
         for t in tree_suite(g, rng, shape_rng):
-            collect: dict = {}
-            _run(g, t, "qcol", q=q, collect=collect)
+            collect = _swept(g, t, "qcol", q=q)
             for cut, tab in collect.values():
                 avs = vertices_of(cut.a)
                 state = {}
@@ -1006,8 +1207,7 @@ def test_qcol_witnesses_realise_their_keys():
         g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         q = 1 + i % 4
         for t in tree_suite(g, rng, shape_rng):
-            collect: dict = {}
-            _run(g, t, "qcol", q=q, collect=collect)
+            collect = _swept(g, t, "qcol", q=q)
             for cut, tab in collect.values():
                 for key, val in _qcol_decoded(tab).items():
                     assert len(key) == len(val) == q
@@ -1037,8 +1237,7 @@ def test_qcol_state_lists_are_sorted_and_witnessed():
             g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for t in tree_suite(g, rng, shape_rng):
             for q in (1, 2, 3, 4):
-                collect: dict = {}
-                _run(g, t, "qcol", q=q, collect=collect)
+                collect = _swept(g, t, "qcol", q=q)
                 for cut, (states, table) in collect.values():
                     assert all(a < b for (a, _), (b, _) in zip(states, states[1:]))
                     for key in table:
@@ -1092,8 +1291,7 @@ def _qcol_joins(seed: int, graphs: int):
         g = rand_graph(rng, rng.randrange(2, 11), rng.uniform(0.2, 0.8))
         for t in tree_suite(g, rng, shape_rng):
             for q in (2, 3, 4):
-                collect: dict = {}
-                _run(g, t, "qcol", q=q, collect=collect)
+                collect = _swept(g, t, "qcol", q=q)
                 decoded = {node: (cut, _qcol_decoded(tab)) for node, (cut, tab) in collect.items()}
                 for node, (cut, tab) in decoded.items():
                     if not t.is_leaf(node):
@@ -1168,8 +1366,7 @@ def test_qcol_largest_tables_hold_one_key_per_orbit():
     k4sub = Graph.from_edges(200, k4s)
     for g, t, q, largest in ((grid, caterpillar(grid, list(range(grid.n))), 3, 111),
                              (k4sub, bfs_tree(k4sub), 4, 16)):
-        collect: dict = {}
-        _run(g, t, "qcol", q=q, collect=collect)
+        collect = _swept(g, t, "qcol", q=q)
         assert max(len(_qcol_decoded(tab)) for _, tab in collect.values()) == largest
         assert dp.solve_odd_qcol(g, t, q) is not None
 
@@ -1234,8 +1431,7 @@ def test_incremental_cuts_match_from_scratch():
     for g in graphs:
         for t in (bfs_tree(g), random_tree(g, rng), random_tree(g, rng),
                   elimination_tree(g)):
-            collect: dict = {}
-            _run(g, t, "mos", collect=collect)
+            collect = _swept(g, t, "mos")
             assert len(collect) == len(t.postorder())
             for cut, _ in collect.values():
                 a, b = cut.a, g.full_mask & ~cut.a
@@ -1306,12 +1502,18 @@ def test_each_cut_runs_one_elimination(monkeypatch):
         for t in tree_suite(g, rng, shape_rng):
             for kind in ("mos", "qcol"):
                 per_node.clear()
-                collect: dict = {}
-                _run(g, t, kind, q=2, collect=collect)
+                joins: dict = {}
+                _run(g, t, kind, q=2, collect=joins)
                 expect = [1 if cut.a_boundary.bit_count() > 1 else 0
-                          for cut, _ in collect.values()]
+                          for cut, _ in joins.values()]
                 assert per_node == expect
-                for k in expect:
+                # each leaf's reference cut, in postorder
+                per_node.clear()
+                collect = _with_leaves(g, t, kind, 2, joins)
+                expect_leaves = [1 if cut.a_boundary.bit_count() > 1 else 0
+                                 for node, (cut, _) in collect.items() if t.is_leaf(node)]
+                assert per_node == expect_leaves
+                for k in expect + expect_leaves:
                     runs[k] += 1
                 dependent += sum(len(cut.classes) != cut.rank
                                  for cut, _ in collect.values())
@@ -1331,8 +1533,7 @@ def test_cuts_with_one_boundary_vertex_match_elimination():
     seen = {0: 0, 1: 0}
     for g in graphs:
         for t in tree_suite(g, rng, shape_rng):
-            collect: dict = {}
-            _run(g, t, "mos", collect=collect)
+            collect = _swept(g, t, "mos")
             for cut, _ in collect.values():
                 bd = cut.a_boundary
                 if bd.bit_count() > 1:
