@@ -69,11 +69,16 @@ is sound because the parent state depends only on the two child states
 
 Leaves are not nodes of the sweep, and they are half of a tree's nodes.
 A leaf's cut ({u}, V \\ {u}) is a mask cut with basis (u,), or none for
-an isolated u, and its table holds at most S = {} and S = {u}.  So no
-leaf builds a cut or a table: a join with a leaf child takes that leaf's
-side straight from u's row at the join's cut, as `_lift` would give it
-over the leaf's table (`_leaf_side`, `_leaf_side_qcol`).  Every joined
-node's table is the one it would be with the leaf tables built.
+an isolated u, and its table holds at most S = {} and S = {u}.  So
+`rankdec.cut_walk` yields joins only, and no leaf builds a cut or a
+table: a join with a leaf child takes that leaf's side straight from u's
+row at the join's cut, as `_lift` would give it over the leaf's table.
+`_leaf_side` builds it, and `_qcol_side` reads a leaf's two class states
+off the same side under the mos defect.  Every joined node's table is the
+one it would be with the leaf tables built.  An isolated vertex empties
+every tds and q-coloring table (no set covers it oddly, no odd class
+holds it), so those runs return an empty table before the sweep and
+build no cut.
 
 Both joins lift child code groups with the one function `_lift`, read a
 child's E off its key or from `_odd_part`, and run the same group-pair
@@ -312,8 +317,11 @@ def _leaf_side(g: Graph, cut: _NodeCut | None, u: int, kind: str):
     ``D | E << n``.  When u is isolated, the basis is empty and the zero
     mask is A: an entry survives exactly when E = 0, with code 0 and
     signature 0, so one group (0, 0) holds the later survivor (S = {u}
-    replaces S = {} where both survive, as for mes), and no group is left
-    where neither does (tds).  `cut` is read only when u has a neighbor.
+    replaces S = {} where both survive, as for mes).  One of them survives
+    for mos, mes and ds; for tds neither does, and `_run` answers such a
+    graph before any side is built.  `cut` is read only when u has a
+    neighbor, so a one-vertex tree's root table is this side's groups over
+    ``cut=None``.
     """
     bit, row, n = 1 << u, g.adj[u], g.n
     keep, set_, flip = _SUBSET_KINDS[kind](bit)
@@ -322,8 +330,7 @@ def _leaf_side(g: Graph, cut: _NodeCut | None, u: int, kind: str):
         up = cut.a_dec.coordinates(row & cut.b)
         return bit, True, bit, [(0, 0, {d_empty | (d_empty & flip) << n: 0}),
                                 (up, row & cut.a & ~bit, {d_u | (d_u & flip) << n: bit})]
-    survivor = bit if not d_u & flip else 0 if not d_empty & flip else None
-    return bit, True, 0, [] if survivor is None else [(0, 0, {0: survivor})]
+    return bit, True, 0, [(0, 0, {0: 0 if d_u & flip else bit})]
 
 
 def _subset_side(g: Graph, cut: _NodeCut, child, kind: str):
@@ -500,32 +507,27 @@ def _distinct_orders(states: tuple) -> Iterator[list[int]]:
         seq[i + 1:] = reversed(seq[i + 1:])
 
 
-def _leaf_side_qcol(g: Graph, cut: _NodeCut, u: int, q: int):
-    """Leaf u as a q-coloring join's side ``(lifted, state count, table)``
-    at `cut`, from u's row alone, as `_qcol_side` would give it over the
-    leaf's states and table.  State 0 is the empty class (code 0, signature
-    0, E = 0) and state 1 is {u} (code 1, E = {u}, lifted as in
-    `_leaf_side`); the one key is u's class beside q - 1 empty classes,
-    ``(0, ..., 0, 1)``.  u has a neighbor: an isolated u lies in no odd
-    class, so its table has no key, and the sweep stops there.
-    """
-    row = g.adj[u]
-    bit = 1 << u
-    zeros = (0,) * (q - 1)
-    up = cut.a_dec.coordinates(row & cut.b)
-    return ([(0, 0, [(0, 0, 0)]), (up, row & cut.a & ~bit, [(1, bit, bit)])], 2,
-            {zeros + (1,): zeros + (bit,)})
-
-
 def _qcol_side(g: Graph, cut: _NodeCut, child, q: int):
     """A q-coloring join's side ``(lifted, state count, table)`` for
     `child`: a joined node's (cut, (states, table)), or a leaf's vertex.
     `lifted` holds each run of one code in the state list, as ``(up, cross,
-    [(state id, S, E), ...])``."""
+    [(state id, S, E), ...])``.
+
+    A leaf u's two states are the two groups of `_leaf_side` under the mos
+    defect: state 0 is the empty class, S = {} with E = 0, and state 1 is
+    {u}, with E = ``sig >> n`` = {u}, lifted to u's own image.  Its one
+    key is u's class beside q - 1 empty classes, ``(0, ..., 0, 1)``.  u
+    has a neighbor, since `_run` answers a graph with an isolated vertex,
+    which no odd class can hold, before any join.
+    """
+    n = g.n
     if isinstance(child, int):
-        return _leaf_side_qcol(g, cut, child, q)
+        zeros = (0,) * (q - 1)
+        lifted = [(up, cross, [(i, s, sig >> n) for sig, s in group.items()])
+                  for i, (up, cross, group) in enumerate(_leaf_side(g, cut, child, "mos")[3])]
+        return lifted, 2, {zeros + (1,): zeros + (1 << child,)}
     c, (states, table) = child
-    n, adj, masks, bd = g.n, g.adj, c.masks, c.a_boundary
+    adj, masks, bd = g.adj, c.masks, c.a_boundary
     groups = [(code, [(i, s, sig >> n if masks else _odd_part(adj, s, -1, 0, -1, bd))
                       for i, ((_, sig), s) in run])
               for code, run in groupby(enumerate(states), lambda e: e[1][0][0])]
@@ -544,7 +546,7 @@ def _join_table_qcol(g: Graph, cut: _NodeCut, x, y, q: int):
     ``pairs[i_y][i_x]`` (None if the class cannot be completed), by the
     subset join's group-pair loop with the mos defect: each state list's
     runs of one code are lifted by `_lift` (a leaf child's two states by
-    `_leaf_side_qcol`), and a pair costs one `coset_sig` call, on the
+    `_leaf_side`), and a pair costs one `coset_sig` call, on the
     states' witnesses and their E as in `_join_table`.  The distinct parent states are then sorted, each
     keeping as witness ``S_x | S_y`` of the first pair that reaches it,
     and the rows are mapped to their ids.  A state no key uses stays listed.
@@ -609,32 +611,30 @@ def _run(g: Graph, t: DecompositionTree, kind: str, q: int = 0, collect=None):
     """Bottom-up sweep over the joins; returns the root table, or the first
     table that holds no entry.  A q-coloring table is ``(states, table)``.
 
-    A leaf is not a node of the sweep: it gets no cut and no table, and a
-    join takes a leaf child's side straight from u's row at the join's cut
-    (`_leaf_side`, `_leaf_side_qcol`).  The one exception is an isolated u,
-    whose table needs no cut: its side's one group, or none (odd-tds), and
-    for a q-coloring no key.  The sweep reads that table, and stops there
-    when it holds no entry, as at any empty table; a one-vertex graph's
-    root is such a leaf.
+    A leaf is not a node of the sweep, and `cut_walk` yields none: it gets
+    no cut and no table, and a join takes a leaf child's side straight
+    from u's row at the join's cut (`_leaf_side`, read by `_subset_side`
+    and `_qcol_side`).  A one-vertex tree has no join, and its root table
+    is its leaf's side over no cut.
+
+    An isolated vertex empties every tds and q-coloring table at once: no
+    set covers it oddly, and no odd class holds it.  So such a run returns
+    its empty table before the sweep and builds no cut: it runs no join
+    that could not change the answer, and no leaf side has to stand for an
+    empty table.
 
     `collect`, if a dict, receives {node: (cut, table)} for each join.
     """
     t.validate_for(g)
-    full = g.full_mask
-    leaf_vertex = t.leaf_vertex
     qcol = kind == "qcol"
+    if kind in ("tds", "qcol") and not all(g.adj):
+        return ([], {}) if qcol else {}
+    leaf_vertex = t.leaf_vertex
+    if t.root in leaf_vertex:
+        return {up: group for up, _, group in _leaf_side(g, None, leaf_vertex[t.root], kind)[3]}
+    full = g.full_mask
     joined: dict[int, tuple] = {}  # node -> (cut, table) until its parent joins
     for node, a_mask, a_bd, _ in cut_walk(g, t):
-        if node in leaf_vertex:
-            if not a_bd:
-                if qcol:  # state 0, the empty class; {u} is no odd class
-                    tab = [((0, 0), 0)], {}
-                else:
-                    tab = {up: group for up, _, group in
-                           _leaf_side(g, None, leaf_vertex[node], kind)[3]}
-                if node == t.root or not (tab[1] if qcol else tab):
-                    return tab
-            continue
         cut = _NodeCut(g, a_mask, a_bd, full & ~a_mask)
         x, y = t.children[node]
         x = leaf_vertex[x] if x in leaf_vertex else joined.pop(x)

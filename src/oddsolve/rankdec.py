@@ -126,8 +126,9 @@ class CutBasis:
     row, and a zero row never enters an earliest basis, so the basis is built
     from ∂A alone, in vertex order.  The one constructor takes A, ∂A and B
     from its caller.  It has two builders: `cut_rank`, which works out ∂A
-    and B for one cut, and the DP sweep, whose per-node cut (`dp._NodeCut`)
-    is a `CutBasis` with ∂A and B from `cut_walk`.
+    and B for one cut, and the DP sweep, whose cut at each join
+    (`dp._NodeCut`) is a `CutBasis` over the ∂A and A that `cut_walk`
+    yields for that join; no leaf gets one.
 
     With at most one boundary vertex no elimination is needed: an empty ∂A
     gives rank 0 and the empty basis, and ∂A = {v} gives the basis (v,),
@@ -187,34 +188,37 @@ def cut_rank(g: Graph, a_mask: int) -> CutBasis:
 
 
 def cut_walk(g: Graph, t: DecompositionTree) -> Iterator[tuple[int, int, int, int]]:
-    """(node, A, ∂A, ∂B) for every node of `t`, children before parents.
+    """(node, A, ∂A, ∂B) for every join of `t`, children before parents.
 
-    A is the vertex set below the node and ∂A, ∂B the vertices on each side
+    A is the vertex set below the join and ∂A, ∂B the vertices on each side
     with a neighbor across the cut (A, V \\ A).  The walk carries N(A), the
     union of the children's neighborhoods, so ∂B = N(A) \\ A; and ∂A is the
-    part of ∂A_x ∪ ∂A_y that still sees outside A.  A node costs time in its
-    children's boundaries, never in |V|.  The caller validates `t`.
+    part of ∂A_x ∪ ∂A_y that still sees outside A.  A join costs time in its
+    children's boundaries, never in |V|.  A leaf is never yielded: its cut
+    ({u}, V \\ {u}) is fixed by u's row, so it only puts ({u}, N(u), ∂A) in
+    the walk's pending map, with ∂A = {u} if u has a neighbor and {} if not,
+    for its parent's step to pop.  A one-vertex tree yields nothing.  The
+    caller validates `t`.
     """
     adj = g.adj
     full = g.full_mask
+    leaf_vertex = t.leaf_vertex
     pending: dict[int, tuple[int, int, int]] = {}  # node -> (A, N(A), ∂A)
     for node in t.postorder():
-        if node in t.leaf_vertex:
-            v = t.leaf_vertex[node]
-            a = 1 << v
-            nbhd = adj[v]
-            a_bd = a if nbhd else 0
-        else:
-            x, y = t.children[node]
-            ax, nx, bdx = pending.pop(x)
-            ay, ny, bdy = pending.pop(y)
-            a = ax | ay
-            nbhd = nx | ny
-            b = full & ~a
-            a_bd = 0
-            for v in vertices_of(bdx | bdy):
-                if adj[v] & b:
-                    a_bd |= 1 << v
+        if node in leaf_vertex:
+            v = leaf_vertex[node]
+            pending[node] = (1 << v, adj[v], 1 << v if adj[v] else 0)
+            continue
+        x, y = t.children[node]
+        ax, nx, bdx = pending.pop(x)
+        ay, ny, bdy = pending.pop(y)
+        a = ax | ay
+        nbhd = nx | ny
+        b = full & ~a
+        a_bd = 0
+        for v in vertices_of(bdx | bdy):
+            if adj[v] & b:
+                a_bd |= 1 << v
         pending[node] = (a, nbhd, a_bd)
         yield node, a, a_bd, nbhd & ~a
 
@@ -222,17 +226,22 @@ def cut_walk(g: Graph, t: DecompositionTree) -> Iterator[tuple[int, int, int, in
 def width(g: Graph, t: DecompositionTree, stop_at: int | None = None) -> int:
     """Maximum cut rank over the tree, each rank from the smaller boundary.
 
-    A cut with at most one vertex on either boundary needs no elimination:
-    its rank is 1 if an edge crosses it (∂A nonempty) and 0 otherwise, as
-    a single vertex's row across the cut is nonzero.
+    A leaf's cut ({u}, V \\ {u}) has rank 1 if u has a neighbor and 0 if
+    not, so the leaves' rank is 1 exactly when the graph has an edge, and
+    only the joins that `cut_walk` yields are ranked.  A cut with at most
+    one vertex on either boundary needs no elimination: its rank is 1 if an
+    edge crosses it (∂A nonempty) and 0 otherwise, as a single vertex's row
+    across the cut is nonzero.
 
-    With `stop_at`, the walk ends at the first cut whose rank reaches it:
-    the result is exact when below `stop_at`, else some rank >= `stop_at`.
+    With `stop_at`, the walk ends once the rank so far reaches it: the
+    result is exact when below `stop_at`, else some rank >= `stop_at`.
     """
     t.validate_for(g)
     adj = g.adj
-    best = 0
+    best = 1 if g.m else 0
     for _, a, a_bd, b_bd in cut_walk(g, t):
+        if stop_at is not None and best >= stop_at:
+            break
         if not (a_bd & (a_bd - 1) and b_bd & (b_bd - 1)):
             rank = 1 if a_bd else 0
         elif a_bd.bit_count() <= b_bd.bit_count():
@@ -240,8 +249,6 @@ def width(g: Graph, t: DecompositionTree, stop_at: int | None = None) -> int:
         else:
             rank = row_basis(adj[w] & a for w in vertices_of(b_bd)).rank
         best = max(best, rank)
-        if stop_at is not None and best >= stop_at:
-            break
     return best
 
 

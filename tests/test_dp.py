@@ -351,12 +351,10 @@ def test_defect_constants_match_their_definitions():
 # beside the sweep's joins, so that the tests below see every node's cut
 # and table.
 
-def _leaf_cut(g: Graph, u: int, a_bd: int | None = None):
+def _leaf_cut(g: Graph, u: int):
     """The cut ({u}, V \\ {u}); ∂A is {u} when u has a neighbor."""
     a = 1 << u
-    if a_bd is None:
-        a_bd = a if g.adj[u] else 0
-    return dp._NodeCut(g, a, a_bd, g.full_mask & ~a)
+    return dp._NodeCut(g, a, a if g.adj[u] else 0, g.full_mask & ~a)
 
 
 def _leaf_table(cut, u: int, kind: str):
@@ -376,25 +374,36 @@ def _leaf_table(cut, u: int, kind: str):
 
 def _leaf_table_qcol(cut, u: int, q: int):
     """One orbit: u's own class state beside q - 1 empty classes, with key
-    ``(0, ..., 0, 1)``, or no key when u cannot lie in an odd class."""
+    ``(0, ..., 0, 1)``.  u has a neighbor: a q-coloring sweep on a graph
+    with an isolated vertex ends before it reaches any leaf."""
     states = [((code, sig), s) for code, group in _leaf_table(cut, u, "mos").items()
               for sig, s in group.items()]
-    if len(states) < 2:
-        return states, {}
+    assert len(states) == 2, "an isolated vertex lies in no odd class"
     return states, {(0,) * (q - 1) + (1,): (0,) * (q - 1) + (1 << u,)}
+
+
+def _isolated_stop(g: Graph, kind: str) -> bool:
+    """Whether a sweep of `kind` answers `g` with an empty table before it
+    builds anything: odd-tds and q-colorings on a graph with an isolated
+    vertex, which no set covers oddly and no odd class holds."""
+    return kind in ("tds", "qcol") and not all(g.adj)
 
 
 def _with_leaves(g: Graph, t, kind: str, q: int, collect: dict) -> dict:
     """{node: (cut, table)} for every node a sweep passes, leaves included:
-    the sweep's joins from `collect`, and each leaf's reference cut over
-    `cut_walk`'s ∂A with its `_leaf_table` (or `_leaf_table_qcol`), in
-    postorder up to and including the first table with no entry."""
+    the sweep's joins from `collect`, and each leaf's reference cut over its
+    own ∂A ({u} when u has a neighbor) with its `_leaf_table` (or
+    `_leaf_table_qcol`), in postorder up to and including the first table
+    with no entry.  A sweep that answers before it starts (`_isolated_stop`)
+    passes no node."""
     out: dict = {}
-    for node, a, a_bd, _ in rankdec.cut_walk(g, t):
+    if _isolated_stop(g, kind):
+        assert not collect
+        return out
+    for node in t.postorder():
         if t.is_leaf(node):
             u = t.leaf_vertex[node]
-            cut = _leaf_cut(g, u, a_bd)
-            assert cut.a == a
+            cut = _leaf_cut(g, u)
             out[node] = cut, (_leaf_table_qcol(cut, u, q) if kind == "qcol" else
                               _leaf_table(cut, u, kind))
         else:
@@ -424,33 +433,29 @@ def test_folded_leaf_sides_match_the_leaf_tables(monkeypatch):
     from the leaf's cut and table: `dp._lift` over `_leaf_cut` and
     `_leaf_table`, groups and entries in the same order, for mos, mes, ds
     and tds; and for q = 1..3, the lifted state groups, state count and
-    table `dp._qcol_side` gives over `_leaf_table_qcol`.  An isolated
-    vertex's table, which the sweep reads with no cut, is its `_leaf_table`,
-    and a one-vertex graph's root table is its leaf table.  Leaves on the x
-    side, on the y side and on both occur on every `tree_suite` shape, under
-    mask and rows parents, and isolated vertices occur, where mes's two leaf
-    entries share a key."""
-    subset_calls: list[tuple] = []
-    qcol_calls: list[tuple] = []
-    real_side, real_side_qcol = dp._leaf_side, dp._leaf_side_qcol
+    table `dp._qcol_side` gives for the leaf's vertex at every cut where
+    a q-coloring join took a leaf's side, against the side it builds over
+    `_leaf_table_qcol`.  A one-vertex graph's root table is its leaf table,
+    read off `_leaf_side` with no cut, for mos, mes and ds; odd-tds and
+    q-colorings on a graph with an isolated vertex return their empty table
+    and take no leaf's side.  Leaves on the x side, on the y side and on
+    both occur on every `tree_suite` shape, under mask and rows parents, and
+    isolated vertices occur, where mes's two leaf entries share a key."""
+    calls: list[tuple] = []
+    real_side = dp._leaf_side
 
     def spy(g, cut, u, kind):
         side = real_side(g, cut, u, kind)
-        subset_calls.append((cut, u, kind, side))
-        return side
-
-    def spy_qcol(g, cut, u, q):
-        side = real_side_qcol(g, cut, u, q)
-        qcol_calls.append((cut, u, q, side))
+        calls.append((cut, u, kind, side))
         return side
 
     monkeypatch.setattr(dp, "_leaf_side", spy)
-    monkeypatch.setattr(dp, "_leaf_side_qcol", spy_qcol)
     rng = random.Random(79)
     shape_rng = random.Random(790)
     kinds = ("mos", "mes", "ds", "tds")
     seen = {f"{place} {kind}": 0 for place in ("x", "y", "both") for kind in kinds + ("qcol",)}
-    seen.update({"rows parent": 0, "isolated mes": 0, "no cut": 0, "q=1": 0, "q=2": 0, "q=3": 0})
+    seen.update({"rows parent": 0, "isolated mes": 0, "no cut": 0, "isolated stop": 0,
+                 "q=1": 0, "q=2": 0, "q=3": 0})
     shapes: set[int] = set()
     graphs = [rand_graph(rng, rng.randrange(2, 10), rng.uniform(0.1, 0.8)) for _ in range(10)]
     graphs += [_with_false_twins(rng, rng.randrange(3, 7), rng.uniform(0.3, 0.7), 2)]
@@ -470,40 +475,44 @@ def test_folded_leaf_sides_match_the_leaf_tables(monkeypatch):
                     if t.is_leaf(c):
                         place[t.leaf_vertex[c]] = "both" if both else side
             for kind, q in [(k, 0) for k in kinds] + [("qcol", q) for q in (1, 2, 3)]:
-                subset_calls.clear()
-                qcol_calls.clear()
-                _run(g, t, kind, q=q)
-                for cut, u, kind_, side in subset_calls:
+                calls.clear()
+                tab = _run(g, t, kind, q=q)
+                if _isolated_stop(g, kind):
+                    assert tab == (([], {}) if kind == "qcol" else {}) and not calls
+                    seen["isolated stop"] += 1
+                    continue
+                for cut, u, kind_, side in calls[:]:  # _qcol_side below calls the spy
+                    assert cut is not None
                     leaf = _leaf_cut(g, u)
-                    table = _leaf_table(leaf, u, kind_)
-                    if cut is None:  # an isolated vertex's own table
-                        assert not g.adj[u]
-                        assert [(up, cross, list(group.items())) for up, cross, group in side[3]] \
-                            == [(0, 0, list(group.items())) for group in table.values()]
-                        seen["no cut"] += 1
-                        continue
-                    want = dp._subset_side(g, cut, (leaf, table), kind_)
+                    want = dp._subset_side(g, cut, (leaf, _leaf_table(leaf, u, kind_)), kind_)
                     assert _listed(side) == _listed(want), (kind_, u)
-                    seen[f"{place[u]} {kind_}"] += 1
+                    if kind == "qcol":  # the leaf's q-coloring side, read off this one
+                        assert kind_ == "mos"
+                        side = dp._qcol_side(g, cut, u, q)
+                        want = dp._qcol_side(g, cut, (leaf, _leaf_table_qcol(leaf, u, q)), q)
+                        assert side == want, (q, u)
+                        assert list(side[2].items()) == list(want[2].items())
+                        seen[f"q={q}"] += 1
+                    seen[f"{place[u]} {kind}"] += 1
                     seen["rows parent"] += not cut.masks
                     seen["isolated mes"] += kind_ == "mes" and not g.adj[u]
                     shapes.add(shape)
-                for cut, u, q_, side in qcol_calls:
-                    leaf = _leaf_cut(g, u)
-                    want = dp._qcol_side(g, cut, (leaf, _leaf_table_qcol(leaf, u, q_)), q_)
-                    assert side == want, (q_, u)
-                    assert list(side[2].items()) == list(want[2].items())
-                    seen[f"{place[u]} qcol"] += 1
-                    seen[f"q={q_}"] += 1
     # a one-vertex graph: its root is its one leaf, and every answer is
-    # that leaf's table
+    # that leaf's table, or the empty table where the vertex is isolated
     g1 = Graph.from_edges(1, [])
     t1 = caterpillar(g1, [0])
     leaf = _leaf_cut(g1, 0)
     for kind in kinds:
+        calls.clear()
         assert list(_run(g1, t1, kind).items()) == list(_leaf_table(leaf, 0, kind).items())
+        if kind == "tds":
+            assert not calls
+        else:
+            assert [(cut, u) for cut, u, _, _ in calls] == [(None, 0)]
+            seen["no cut"] += 1
     for q in (1, 2, 3):
-        assert _run(g1, t1, "qcol", q=q) == _leaf_table_qcol(leaf, 0, q)
+        calls.clear()
+        assert _run(g1, t1, "qcol", q=q) == ([], {}) and not calls
     assert dp.solve_mos(g1, t1) == (0, 0) and dp.solve_mes(g1, t1) == (1, 1)
     assert dp.solve_odd_ds(g1, t1) == (1, 1) and dp.solve_odd_tds(g1, t1) is None
     assert dp.solve_odd_qcol(g1, t1, 3) is None
@@ -515,7 +524,9 @@ def test_no_sweep_builds_a_leaf_cut(monkeypatch):
     """The sweep constructs one `_NodeCut` per join it runs, each over that
     join's A, and none for a leaf: n - 1 cuts for a sweep that reaches the
     root, none for a one-vertex graph.  Every kind, q = 1..3 and every
-    `tree_suite` shape, with isolated vertices among the graphs."""
+    `tree_suite` shape, with isolated vertices among the graphs; odd-tds
+    and q-colorings on a graph with an isolated vertex build no cut at all
+    and return their empty table."""
     built: list[int] = []
     real_cut = dp._NodeCut
 
@@ -529,13 +540,17 @@ def test_no_sweep_builds_a_leaf_cut(monkeypatch):
     graphs = [rand_graph(rng, rng.randrange(1, 10), rng.uniform(0.1, 0.8)) for _ in range(10)]
     graphs += [Graph.from_edges(1, []), Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])]
     runs = [("mos", 0), ("mes", 0), ("ds", 0), ("tds", 0), ("qcol", 1), ("qcol", 2), ("qcol", 3)]
-    stopped = 0
+    stopped = isolated = 0
     for g in graphs:
         for t in tree_suite(g, rng, shape_rng):
             for kind, q in runs:
                 built.clear()
                 collect: dict = {}
-                _run(g, t, kind, q=q, collect=collect)
+                root = _run(g, t, kind, q=q, collect=collect)
+                if _isolated_stop(g, kind):
+                    assert not built and not collect
+                    assert root == (([], {}) if kind == "qcol" else {})
+                    isolated += 1
                 assert built == [cut.a for cut, _ in collect.values()]
                 assert all(a & (a - 1) for a in built)  # no cut over one vertex
                 assert set(collect) <= set(t.children)
@@ -544,7 +559,40 @@ def test_no_sweep_builds_a_leaf_cut(monkeypatch):
                 tab = collect[t.root][1] if t.root in collect else None
                 if tab is not None and (tab[1] if kind == "qcol" else tab):
                     assert len(built) == g.n - 1
-    assert stopped
+    assert stopped and isolated
+
+
+def test_cut_walk_yields_the_joins_with_their_boundaries():
+    """`cut_walk` yields exactly the tree's joins, in postorder, each with
+    A = the vertices below it and ∂A, ∂B as a scan of the cut (A, V \\ A)
+    from scratch finds them.  No leaf is yielded, so a one-vertex tree
+    yields nothing.  Every `tree_suite` shape, over random graphs, the
+    one-vertex graph, an edgeless graph and graphs with isolated vertices."""
+    rng = random.Random(81)
+    shape_rng = random.Random(810)
+    graphs = [rand_graph(rng, rng.randrange(2, 10), rng.uniform(0.1, 0.8)) for _ in range(8)]
+    graphs += [
+        Graph.from_edges(1, []),
+        Graph.from_edges(6, []),
+        Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]),  # vertex 4 is isolated
+        # isolated vertices 3 and 9 beside a path, an edge and a triangle
+        Graph.from_edges(10, [(0, 1), (1, 2), (4, 5), (6, 7), (7, 8), (8, 6)]),
+    ]
+    yielded = 0
+    for g in graphs:
+        for t in tree_suite(g, rng, shape_rng):
+            masks = t.leaf_masks()
+            walk = list(rankdec.cut_walk(g, t))
+            assert [node for node, *_ in walk] == [v for v in t.postorder() if v in t.children]
+            for node, a, a_bd, b_bd in walk:
+                b = g.full_mask & ~a
+                assert a == masks[node]
+                assert a_bd == sum(1 << v for v in vertices_of(a) if g.adj[v] & b)
+                assert b_bd == sum(1 << w for w in vertices_of(b) if g.adj[w] & a)
+            if g.n == 1:
+                assert walk == []
+            yielded += len(walk)
+    assert yielded
 
 
 def _child_map(g: Graph, parent, child, sibling_mask: int):
@@ -1116,18 +1164,22 @@ def test_subset_tables_hold_no_empty_group():
     """A subset table never keeps a code group without entries, so `_run`
     returns {} exactly when some node's table holds no entry (and stops at
     that node), and otherwise reaches the root with every node collected.
-    odd-tds on a graph with an isolated vertex empties a table."""
+    odd-tds on a graph with an isolated vertex returns {} before any node."""
     rng = random.Random(66)
     shape_rng = random.Random(660)
     graphs = [rand_graph(rng, rng.randrange(1, 10), rng.uniform(0.1, 0.7)) for _ in range(12)]
     graphs.append(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]))  # vertex 4 is isolated
-    outcomes = {"empty": 0, "root": 0}
+    outcomes = {"empty": 0, "root": 0, "isolated": 0}
     for g in graphs:
         for t in tree_suite(g, rng, shape_rng):
             for kind in ("mos", "mes", "ds", "tds"):
                 joins: dict = {}
                 root = _run(g, t, kind, collect=joins)
                 collect = _with_leaves(g, t, kind, 0, joins)
+                if _isolated_stop(g, kind):
+                    assert root == {} and not joins and not collect
+                    outcomes["isolated"] += 1
+                    continue
                 # the sweep ran exactly the joins up to its stop
                 assert list(joins) == [node for node in collect if not t.is_leaf(node)]
                 for _, tab in collect.values():

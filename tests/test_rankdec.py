@@ -244,6 +244,21 @@ def test_validate_for_wrong_graph():
         t.validate_for(g4)
 
 
+def leaf_rank_inputs() -> list[tuple[Graph, DecompositionTree]]:
+    """Trees whose width only the leaf cuts reach: a perfect matching on 8
+    vertices under the tree that joins each edge's two leaves first (every
+    join has rank 0, the width is 1), K2, and an edgeless graph."""
+    matching = Graph.from_edges(8, [(0, 5), (1, 6), (2, 7), (3, 4)])
+    paired = DecompositionTree(
+        {8: (0, 5), 9: (1, 6), 10: (2, 7), 11: (3, 4), 12: (8, 9), 13: (10, 11), 14: (12, 13)},
+        {v: v for v in range(8)}, 14)
+    k2 = gen_family("path", 2)
+    edgeless = Graph.from_edges(5, [])
+    return [(matching, paired), (k2, caterpillar(k2, [1, 0])),
+            (edgeless, caterpillar(edgeless, [3, 1, 4, 0, 2])),
+            (edgeless, elimination_tree(edgeless))]
+
+
 def test_width_is_max_over_all_tree_cuts():
     rng = random.Random(25)
     shape_rng = random.Random(250)
@@ -268,6 +283,10 @@ def test_width_is_max_over_all_tree_cuts():
         for t in [random_tree(g, shape_rng) for _ in range(5)] + [elimination_tree(g)]:
             expect = max(slow_cut_rank(g, m) for m in t.leaf_masks().values())
             assert width(g, t) == expect
+    # only the leaf cuts reach the width, or nothing does
+    for (g, t), expect in zip(leaf_rank_inputs(), (1, 1, 0, 0)):
+        assert max(slow_cut_rank(g, m) for m in t.leaf_masks().values()) == expect
+        assert width(g, t) == expect
 
 
 def random_forest(rng: random.Random, n: int) -> Graph:
@@ -348,6 +367,14 @@ def test_bounded_width_is_exact_below_the_bound():
                     assert got == exact
                 else:
                     assert exact >= got >= bound
+    for g, t in leaf_rank_inputs():
+        exact = width(g, t)
+        for bound in range(4):
+            got = width(g, t, stop_at=bound)
+            if exact < bound:
+                assert got == exact
+            else:
+                assert exact >= got >= bound
 
 
 def random_corpus() -> list[Graph]:
