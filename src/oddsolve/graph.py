@@ -16,20 +16,21 @@ __all__ = [
     "Graph",
     "GraphError",
     "gen_family",
-    "is_even_set",
-    "is_odd_set",
     "mask_lex_less",
     "mask_of",
-    "n2_neighborhood",
     "parse_graph",
     "vertices_of",
     "write_graph",
 ]
 
-# The largest vertex count a graph document may declare.  With a row of up
-# to n bits per vertex, 2^20 vertices is far beyond any solve; the bound
-# keeps a hostile `p edge` line from allocating its count before an edge.
-MAX_VERTICES = 1 << 20
+# The largest vertex count a graph document may declare or `gen` may build.
+# A row is an int as wide as its highest neighbor, so a path holds about
+# n^2/2 bits of rows and a star centred on its last vertex n^2 bits: memory
+# grows fourfold per doubling of n.  At 2^16 vertices `gen family path`
+# peaked at 301 MB RSS and a parsed star at 576 MB (Python 3.11, x86-64),
+# so 2^20 would need about 70 GB.  The bound also keeps a hostile `p edge`
+# line from allocating its count before an edge.
+MAX_VERTICES = 1 << 16
 # The most vertex pairs `gen` builds or walks for a clique or a random graph;
 # quadratic in n, so far below what MAX_VERTICES alone would let through.
 MAX_EDGES = 1 << 22
@@ -165,34 +166,6 @@ class Graph(Frozen):
         adj = tuple(full & ~self.adj[v] & ~(1 << v) for v in range(self.n))
         m = sum(a.bit_count() for a in adj) // 2
         return Graph(self.n, adj, m)
-
-
-def n2_neighborhood(g: Graph, mask: int) -> int:
-    """Symmetric difference of the neighborhoods of the vertices in `mask`.
-
-    Linear over GF(2): outside `mask` this is exactly the set of vertices
-    with an odd number of neighbors in `mask`.
-    """
-    acc = 0
-    for v in vertices_of(mask):
-        acc ^= g.adj[v]
-    return acc
-
-
-def is_odd_set(g: Graph, mask: int) -> bool:
-    """True iff every vertex of `mask` has odd degree inside `mask`."""
-    for v in vertices_of(mask):
-        if not (g.adj[v] & mask).bit_count() & 1:
-            return False
-    return True
-
-
-def is_even_set(g: Graph, mask: int) -> bool:
-    """True iff every vertex of `mask` has even degree inside `mask`."""
-    for v in vertices_of(mask):
-        if (g.adj[v] & mask).bit_count() & 1:
-            return False
-    return True
 
 
 def parse_graph(text: str) -> Graph:

@@ -76,9 +76,6 @@ class DecompositionTree(Frozen):
         if seen != ids:
             raise TreeFormatError(f"unreachable nodes: {sorted(ids - seen)}")
 
-    def is_leaf(self, node: int) -> bool:
-        return node in self.leaf_vertex
-
     def postorder(self) -> list[int]:
         """Node ids with children before parents, left subtree first."""
         out: list[int] = []
@@ -106,11 +103,18 @@ class DecompositionTree(Frozen):
         return masks
 
     def validate_for(self, g: Graph) -> None:
-        """Check that leaves biject onto the graph's vertices."""
+        """Check that leaves biject onto the graph's vertices.  The error
+        names the two counts and one vertex, 1-indexed as in a tree file."""
         got = sorted(self.leaf_vertex.values())
-        if got != list(range(g.n)):
-            raise TreeFormatError(
-                f"tree leaves {got} do not biject onto vertices 0..{g.n - 1}")
+        if got == list(range(g.n)):
+            return
+        out = next((v for v in got if not 0 <= v < g.n), None)
+        if out is not None:
+            why = f"vertex {out + 1} is out of range 1..{g.n}"
+        else:  # distinct and in range, so some vertex has no leaf
+            missing = next((i for i, v in enumerate(got) if v != i), len(got))
+            why = f"vertex {missing + 1} has no leaf"
+        raise TreeFormatError(f"tree has {len(got)} leaves for {g.n} vertices; {why}")
 
 
 class CutBasis:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, is_even_set, vertices_of
+from .graph import Graph, _check_order, vertices_of
 from .parity import Orientation, odd_orientation
 
 __all__ = [
@@ -59,14 +59,6 @@ class Cnf23:
     def n_clauses(self) -> int:
         return len(self.clauses)
 
-    def occurrence_counts(self) -> list[int]:
-        """Occurrences per variable (1-indexed result list has n_vars entries)."""
-        counts = [0] * self.n_vars
-        for clause in self.clauses:
-            for lit in clause:
-                counts[abs(lit) - 1] += 1
-        return counts
-
     def shape_violations(self) -> list[str]:
         """Why this formula is not a valid 2in3-SAT_3 instance (empty = valid).
 
@@ -98,8 +90,8 @@ class Cnf23:
         return problems
 
 
-def parse_cnf(text: str, strict: bool = True) -> Cnf23:
-    """Parse a DIMACS cnf document; `strict` additionally requires 3-literal clauses."""
+def parse_cnf(text: str) -> Cnf23:
+    """Parse a DIMACS cnf document whose clauses all have 3 literals."""
     n_vars = None
     declared_clauses = None
     tokens: list[int] = []
@@ -144,10 +136,9 @@ def parse_cnf(text: str, strict: bool = True) -> Cnf23:
         raise CnfFormatError(
             f"problem line declares {declared_clauses} clauses, found {len(clauses)}")
     cnf = Cnf23(n_vars, tuple(clauses))
-    if strict:
-        bad = [c for c in cnf.clauses if len(c) != 3]
-        if bad:
-            raise CnfFormatError(f"strict mode: {len(bad)} clauses do not have 3 literals")
+    bad = sum(len(c) != 3 for c in cnf.clauses)
+    if bad:  # `gen reduce mes` prints this line; its bytes stay as they were
+        raise CnfFormatError(f"strict mode: {bad} clauses do not have 3 literals")
     return cnf
 
 
@@ -223,6 +214,7 @@ def gen_mes_instance(cnf: Cnf23, p: int = MIN_PROOF_P,
             f"p = {p} < {MIN_PROOF_P} voids the equivalence proof; "
             "enable the small-p override to build it anyway")
     n = cnf.n_vars
+    _check_order(n * (p + 16))
     gm = GadgetMap(n, p, cnf.clauses, equivalence_guaranteed=p >= MIN_PROOF_P)
     edges: list[tuple[int, int]] = []
     for i in range(n):
@@ -303,6 +295,7 @@ def gen_mos_instance(g: Graph, k: int) -> Graph:
         raise ReductionError(f"k must be even, got {k}")
     if k < 4:
         raise ReductionError(f"k must be at least 4, got {k}")
+    _check_order(g.n + k + 2)
     hub = g.n
     rim = list(range(g.n + 1, g.n + k + 2))
     edges = list(g.edges())
@@ -332,15 +325,17 @@ class QcolInstance:
 
 
 def gen_qcol_instance(g: Graph) -> QcolInstance:
-    edges = list(g.edges())
+    triangles: list[tuple[int, int]] = []
     n_fixed = g.n
     for comp in g.components():
         edges_inside = sum((g.adj[v] & comp).bit_count() for v in vertices_of(comp)) // 2
         if (comp.bit_count() + edges_inside) % 2 == 1:
             anchor = (comp & -comp).bit_length() - 1
             v1, v2, v3 = n_fixed, n_fixed + 1, n_fixed + 2
-            edges += [(anchor, v1), (v1, v2), (v1, v3), (v2, v3)]
+            triangles += [(anchor, v1), (v1, v2), (v1, v3), (v2, v3)]
             n_fixed += 3
+    _check_order(n_fixed + g.m + len(triangles))  # one subdivision vertex per edge
+    edges = list(g.edges()) + triangles
     fixed = Graph.from_edges(n_fixed, edges)
     orientation = odd_orientation(fixed)
     assert orientation is not None, "parity fixup must enable an odd orientation"

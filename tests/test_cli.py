@@ -11,7 +11,7 @@ import pytest
 from conftest import binary_tree
 from oddsolve import dp, rankdec
 from oddsolve.cli import SOLVE_PROBLEMS, main
-from oddsolve.graph import Graph, parse_graph, write_graph, gen_family
+from oddsolve.graph import MAX_VERTICES, Graph, parse_graph, write_graph, gen_family
 from oddsolve.rankdec import METHODS
 
 FIRST_LINE = re.compile(r"^value=(\d+|none) feasible=(true|false)$")
@@ -107,23 +107,69 @@ TOY_CNF = "p cnf 3 3\n1 2 -3 0\n2 3 -1 0\n3 1 -2 0\n"
      "negative count"),                                          # CnfFormatError
     (("solve", "mos", "--graph"), "p edge 1000000000000 0\n",
      "line 1: 1000000000000 vertices exceed the limit"),         # GraphError
-    (("gen", "family", "star", "--n", "1048577", "--out"), "",
-     "1048577 vertices exceed the limit of 1048576"),            # GraphError
-    (("gen", "random", "--n", "1048577", "--prob", "0", "--out"), "",
-     "1048577 vertices exceed the limit of 1048576"),            # before the pair loop
-    (("gen", "random", "--n", "1048576", "--prob", "0", "--out"), "",
-     "1048576 vertices give 549755289600 vertex pairs, over the limit of 4194304"),
-    (("gen", "family", "clique", "--n", "100000", "--out"), "",
-     "100000 vertices give 4999950000 vertex pairs, over the limit of 4194304"),
+    (("gen", "reduce", "mes", "--cnf"), "p cnf 3 1\n1 2 0\n",
+     "clauses do not have 3 literals"),                          # CnfFormatError
+    (("gen", "family", "star", "--n", "65537", "--out"), "",
+     "65537 vertices exceed the limit of 65536"),                # GraphError
+    (("gen", "random", "--n", "65537", "--prob", "0", "--out"), "",
+     "65537 vertices exceed the limit of 65536"),                # before the pair loop
+    (("gen", "random", "--n", "65536", "--prob", "0", "--out"), "",
+     "65536 vertices give 2147450880 vertex pairs, over the limit of 4194304"),
+    (("gen", "family", "clique", "--n", "3000", "--out"), "",
+     "3000 vertices give 4498500 vertex pairs, over the limit of 4194304"),
+    # each reduction counts its instance's vertices before it builds an edge:
+    # 3 (p + 16) for the toy formula, K2 plus the hub and k + 1 rim vertices,
+    # and P32768 with its odd |V| + |E| fixed by one triangle, then subdivided
+    (("gen", "reduce", "mes", "--p", "21846", "--cnf"), TOY_CNF,
+     "65586 vertices exceed the limit of 65536"),
+    (("gen", "reduce", "mos", "--k", "65534", "--graph"), write_graph(gen_family("path", 2)),
+     "65538 vertices exceed the limit of 65536"),
+    (("gen", "reduce", "qcol", "--graph"), write_graph(gen_family("path", 32768)),
+     "65542 vertices exceed the limit of 65536"),
 ], ids=["oracle-cap", "cnf-format", "cnf-shape", "cnf-declared-count", "cnf-negative",
-        "graph-vertex-count", "gen-family-vertex-count", "gen-random-vertex-count",
-        "gen-random-pair-count", "gen-clique-edge-count"])
+        "graph-vertex-count", "cnf-two-literals", "gen-family-vertex-count",
+        "gen-random-vertex-count", "gen-random-pair-count", "gen-clique-edge-count",
+        "reduce-mes-vertex-count", "reduce-mos-vertex-count", "reduce-qcol-vertex-count"])
 def test_package_errors_exit_1_with_one_line(capsys, tmp_path, command, text, needle):
     path = tmp_path / "input"
     path.write_text(text)
     code, out, err = run(capsys, *command, str(path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize("graph_n, tree_n, needle", [
+    (3000, 2999, "tree has 2999 leaves for 3000 vertices; vertex 3000 has no leaf"),
+    (2999, 3000, "tree has 3000 leaves for 2999 vertices; vertex 3000 is out of range 1..2999"),
+])
+def test_tree_for_another_graph_exits_1_with_one_short_line(capsys, tmp_path, graph_n, tree_n,
+                                                            needle):
+    """A --dec tree built for another graph is named by its leaf count, the
+    vertex count and one vertex, not by its whole leaf list."""
+    graph, tree = tmp_path / "g.col", tmp_path / "t.tree"
+    graph.write_text(write_graph(gen_family("path", graph_n)))
+    p = gen_family("path", tree_n)
+    tree.write_text(rankdec.write_tree(rankdec.caterpillar(p, list(range(tree_n)))))
+    code, out, err = run(capsys, "solve", "mos", "--graph", str(graph), "--dec", str(tree))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {needle}"] and len(err) < 200
+
+
+def test_gen_path_at_the_vertex_bound_fits_in_1_gib(tmp_path):
+    """The longest path `gen` builds fits a 1 GiB address space.  A path's
+    rows hold about n^2/2 bits, so the vertex bound sets this memory."""
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "oddsolve.cli", "gen", "family", "path",
+         "--n", str(MAX_VERTICES), "--out", str(tmp_path / "path.col")],
+        capture_output=True, text=True, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == f"value={MAX_VERTICES} feasible=true"
 
 
 # Runs the CLI in a fresh interpreter and reports, after each command, which

@@ -20,7 +20,7 @@ from oddsolve import dp, rankdec
 from oddsolve.certificates import Certificate, verify
 from oddsolve.dp import _distinct_orders, _run, _SUBSET_KINDS
 from oddsolve.gf2 import row_basis
-from oddsolve.graph import Graph, gen_family, is_odd_set, mask_lex_less, vertices_of
+from oddsolve.graph import Graph, gen_family, mask_lex_less, vertices_of
 from oddsolve.oracle import (
     oracle_chi_odd,
     oracle_mes,
@@ -265,7 +265,7 @@ def test_qcol_q1_is_the_whole_graph_parity_test():
         g = rand_graph(rng, 7)
         t = bfs_tree(g)
         res = dp.solve_odd_qcol(g, t, 1)
-        assert (res is not None) == is_odd_set(g, g.full_mask)
+        assert (res is not None) == check_odd_set(g, g.full_mask)
 
 
 def test_qcol_feasibility_is_monotone_in_q():
@@ -401,7 +401,7 @@ def _with_leaves(g: Graph, t, kind: str, q: int, collect: dict) -> dict:
         assert not collect
         return out
     for node in t.postorder():
-        if t.is_leaf(node):
+        if node in t.leaf_vertex:
             u = t.leaf_vertex[node]
             cut = _leaf_cut(g, u)
             out[node] = cut, (_leaf_table_qcol(cut, u, q) if kind == "qcol" else
@@ -470,9 +470,9 @@ def test_folded_leaf_sides_match_the_leaf_tables(monkeypatch):
         for shape, t in enumerate(suite):
             place = {}  # leaf vertex -> x, y or both, by its parent's children
             for x, y in t.children.values():
-                both = t.is_leaf(x) and t.is_leaf(y)
+                both = x in t.leaf_vertex and y in t.leaf_vertex
                 for side, c in (("x", x), ("y", y)):
-                    if t.is_leaf(c):
+                    if c in t.leaf_vertex:
                         place[t.leaf_vertex[c]] = "both" if both else side
             for kind, q in [(k, 0) for k in kinds] + [("qcol", q) for q in (1, 2, 3)]:
                 calls.clear()
@@ -708,7 +708,7 @@ def test_join_kernel_matches_the_reference_loop(monkeypatch):
                 masked.clear()
                 collect = _swept(g, t, kind)
                 for node, (cut, tab) in collect.items():
-                    if t.is_leaf(node):
+                    if node in t.leaf_vertex:
                         continue
                     x, y = t.children[node]
                     (cx, tx), (cy, ty) = collect[x], collect[y]
@@ -749,7 +749,7 @@ def test_mask_halves_are_the_parent_signature():
             for kind in ("mos", "mes", "ds", "tds"):
                 collect = _swept(g, t, kind)
                 for node, (cut, _) in collect.items():
-                    if t.is_leaf(node) or not _mask_cut(cut):
+                    if node in t.leaf_vertex or not _mask_cut(cut):
                         continue
                     zero = cut.zero_mask << n
                     half = cut.a_boundary | -(1 << n)
@@ -1181,7 +1181,7 @@ def test_subset_tables_hold_no_empty_group():
                     outcomes["isolated"] += 1
                     continue
                 # the sweep ran exactly the joins up to its stop
-                assert list(joins) == [node for node in collect if not t.is_leaf(node)]
+                assert list(joins) == [node for node in collect if node not in t.leaf_vertex]
                 for _, tab in collect.values():
                     assert all(tab.values()), kind
                 emptied = [node for node, (_, tab) in collect.items()
@@ -1192,7 +1192,7 @@ def test_subset_tables_hold_no_empty_group():
                     outcomes["empty"] += 1
                 else:
                     assert len(collect) == len(t.postorder())
-                    if t.is_leaf(t.root):  # one vertex: no join, the leaf's own table
+                    if t.root in t.leaf_vertex:  # one vertex: no join, the leaf's own table
                         assert list(root.items()) == list(collect[t.root][1].items())
                     else:
                         assert root is collect[t.root][1]
@@ -1346,7 +1346,7 @@ def _qcol_joins(seed: int, graphs: int):
                 collect = _swept(g, t, "qcol", q=q)
                 decoded = {node: (cut, _qcol_decoded(tab)) for node, (cut, tab) in collect.items()}
                 for node, (cut, tab) in decoded.items():
-                    if not t.is_leaf(node):
+                    if node not in t.leaf_vertex:
                         x, y = t.children[node]
                         yield g, q, cut, tab, decoded[x], decoded[y]
 
@@ -1563,7 +1563,7 @@ def test_each_cut_runs_one_elimination(monkeypatch):
                 per_node.clear()
                 collect = _with_leaves(g, t, kind, 2, joins)
                 expect_leaves = [1 if cut.a_boundary.bit_count() > 1 else 0
-                                 for node, (cut, _) in collect.items() if t.is_leaf(node)]
+                                 for node, (cut, _) in collect.items() if node in t.leaf_vertex]
                 assert per_node == expect_leaves
                 for k in expect + expect_leaves:
                     runs[k] += 1

@@ -14,11 +14,8 @@ from oddsolve.graph import (
     Graph,
     GraphError,
     gen_family,
-    is_even_set,
-    is_odd_set,
     mask_lex_less,
     mask_of,
-    n2_neighborhood,
     parse_graph,
     subdivided_clique_edges,
     vertices_of,
@@ -139,19 +136,6 @@ def test_parse_graph_returns_a_graph_or_raises_graph_error(text):
     assert isinstance(g, Graph) and 0 <= g.n <= MAX_VERTICES
 
 
-def test_n2_neighborhood_matches_bruteforce():
-    rng = random.Random(11)
-    for _ in range(50):
-        g = rand_graph(rng, 8)
-        mask = rng.randrange(1 << 8)
-        want = 0
-        for v in range(8):
-            deg = sum(1 for u in range(8) if mask >> u & 1 and g.adj[v] >> u & 1)
-            if deg % 2 == 1:
-                want |= 1 << v
-        assert n2_neighborhood(g, mask) == want
-
-
 def test_components_partition_the_mask_into_connected_parts():
     """`components(within)` splits `within` into parts ordered by smallest
     vertex, each connected inside `within` and with no edge to the rest of
@@ -181,14 +165,6 @@ def test_components_partition_the_mask_into_connected_parts():
             assert reached == part
             for v in vertices_of(part):
                 assert not g.adj[v] & within & ~part
-
-
-def test_parity_set_predicates():
-    c4 = gen_family("cycle", 4)
-    assert is_even_set(c4, c4.full_mask)
-    assert not is_odd_set(c4, c4.full_mask)
-    assert is_odd_set(c4, 0b0011)  # one edge
-    assert is_odd_set(c4, 0)  # vacuous
 
 
 def test_families_shapes():
@@ -238,9 +214,9 @@ def test_gen_family_argument_validation():
         gen_family("path")  # needs n
     with pytest.raises(GraphError):
         gen_family("cycle", 2)
-    # the subdivided K_1448 has 1448 + 1448 * 1447 / 2 vertices
-    with pytest.raises(GraphError, match=f"1049076 vertices exceed the limit of {MAX_VERTICES}"):
-        gen_family("kn-subdivided", 1448)
+    # the subdivided K_362 has 362 + 362 * 361 / 2 vertices
+    with pytest.raises(GraphError, match=f"65703 vertices exceed the limit of {MAX_VERTICES}"):
+        gen_family("kn-subdivided", 362)
     # K_2897 has 4,194,856 edges, the first clique over the edge bound
     with pytest.raises(GraphError, match=f"2897 vertices give 4194856 vertex pairs, "
                                          f"over the limit of {MAX_EDGES}"):

@@ -64,7 +64,7 @@ def test_caterpillar_structure():
 def test_single_vertex_tree():
     g = Graph.from_edges(1, [])
     t = caterpillar(g, [0])
-    assert len(t.leaf_vertex) == 1 and t.is_leaf(t.root)
+    assert len(t.leaf_vertex) == 1 and t.root in t.leaf_vertex
     assert width(g, t) == 0
 
 
@@ -240,7 +240,8 @@ def test_validate_for_wrong_graph():
     g5 = gen_family("path", 5)
     g4 = gen_family("path", 4)
     t = caterpillar(g5, list(range(5)))
-    with pytest.raises(TreeFormatError):
+    with pytest.raises(TreeFormatError, match=r"^tree has 5 leaves for 4 vertices; "
+                                              r"vertex 5 is out of range 1\.\.4$"):
         t.validate_for(g4)
 
 
@@ -327,7 +328,7 @@ def test_elimination_tree_structure():
         assert elimination_tree(g) == t  # deterministic
     k1 = Graph.from_edges(1, [])
     t = elimination_tree(k1)
-    assert len(t.leaf_vertex) == 1 and t.is_leaf(t.root) and width(k1, t) == 0
+    assert len(t.leaf_vertex) == 1 and t.root in t.leaf_vertex and width(k1, t) == 0
     with pytest.raises(GraphError, match="empty graph has no decomposition tree"):
         elimination_tree(Graph.from_edges(0, []))
 
@@ -351,7 +352,7 @@ def test_auto_tree_picks_min_degree_on_a_binary_tree():
     assert t == elimination_tree(g)
     # a genuine binary tree: some node joins two internal children, which no
     # caterpillar has
-    assert any(not t.is_leaf(x) and not t.is_leaf(y) for x, y in t.children.values())
+    assert any(x not in t.leaf_vertex and y not in t.leaf_vertex for x, y in t.children.values())
 
 
 def test_bounded_width_is_exact_below_the_bound():

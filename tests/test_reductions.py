@@ -45,7 +45,6 @@ def test_parse_cnf_basic():
     assert cnf.n_vars == 3
     assert cnf.clauses == ((1, 2, -3), (2, 3, -1), (3, 1, -2))
     assert cnf.shape_violations() == []
-    assert cnf.occurrence_counts() == [3, 3, 3]
 
 
 def test_parse_cnf_comments_and_multiline_clauses():
@@ -66,9 +65,7 @@ def test_parse_cnf_errors():
     with pytest.raises(CnfFormatError):
         parse_cnf("p cnf 3 2\n1 2 3 0\n")  # declared two clauses
     with pytest.raises(CnfFormatError):
-        parse_cnf("p cnf 3 1\n1 2 0\n")  # strict mode wants 3 literals
-    loose = parse_cnf("p cnf 3 1\n1 2 0\n", strict=False)
-    assert loose.clauses == ((1, 2),)
+        parse_cnf("p cnf 3 1\n1 2 0\n")  # every clause needs 3 literals
 
 
 # Lines built from DIMACS's own words and small literals reach the clause
@@ -80,25 +77,23 @@ _CNF_LINES = st.lists(st.lists(_CNF_WORDS, max_size=6).map(" ".join),
                       max_size=8).map("\n".join)
 
 
-@given(st.one_of(st.text(), _CNF_LINES), st.booleans())
-def test_parse_cnf_accepts_or_raises_cnf_format_error(text, strict):
+@given(st.one_of(st.text(), _CNF_LINES))
+def test_parse_cnf_accepts_or_raises_cnf_format_error(text):
     try:
-        cnf = parse_cnf(text, strict=strict)
+        cnf = parse_cnf(text)
     except CnfFormatError:
         return
     assert all(cl and all(1 <= abs(lit) <= cnf.n_vars for lit in cl) for cl in cnf.clauses)
-    if strict:
-        assert all(len(cl) == 3 for cl in cnf.clauses)
+    assert all(len(cl) == 3 for cl in cnf.clauses)
     # the same formula written back as DIMACS parses to itself
     dimacs = f"p cnf {cnf.n_vars} {cnf.n_clauses}\n" + "".join(
         " ".join(map(str, cl)) + " 0\n" for cl in cnf.clauses)
-    assert parse_cnf(dimacs, strict=strict) == cnf
+    assert parse_cnf(dimacs) == cnf
 
 
 def test_cnf_shape_violations():
     # variable 1 appears four times, variable 4 twice; one clause repeats a var
-    cnf = parse_cnf("p cnf 4 4\n1 2 3 0\n1 2 3 0\n1 1 4 0\n1 2 4 0\n",
-                    strict=False)
+    cnf = parse_cnf("p cnf 4 4\n1 2 3 0\n1 2 3 0\n1 1 4 0\n1 2 4 0\n")
     problems = cnf.shape_violations()
     assert any("clause 3" in p for p in problems)
     assert any("variable 1" in p for p in problems)
@@ -127,7 +122,7 @@ def test_parse_cnf_rejects_negative_counts():
     with pytest.raises(CnfFormatError, match="line 1: negative count"):
         parse_cnf("p cnf -3 0\n")
     with pytest.raises(CnfFormatError, match="line 2: negative count"):
-        parse_cnf("c a comment\np cnf 3 -1\n", strict=False)
+        parse_cnf("c a comment\np cnf 3 -1\n")
 
 
 def test_cnf_literal_validation():
