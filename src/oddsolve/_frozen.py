@@ -1,13 +1,16 @@
-"""A base for the package's immutable value classes.
+"""The one base of the package's immutable value classes.
 
-A subclass lists its fields in ``__slots__`` and sets them in ``__init__``
-through ``object.__setattr__``.  Equality, hashing and repr then run over
-those fields in order, as a frozen dataclass's would, and assignment or
-deletion raises AttributeError.  Fields named with a leading underscore
-stay out of the repr.  Copies and pickles go through ``__init__`` with the
-fields in order, so its parameters must take them in that order.
-Importing `dataclasses` instead would pull `inspect` and its imports into
-every process that solves.
+A subclass lists its fields in ``__slots__``, with their annotations, and
+``Frozen.__init__`` takes one value per field, in that order.  A subclass
+that needs defaults or validation defines its own ``__init__`` and sets its
+fields with one ``Frozen.__init__(self, ...)`` call.  Equality, hashing and
+repr then run over the fields in order, as a frozen dataclass's would, and
+assignment or deletion raises AttributeError.  Fields named with a leading
+underscore stay out of the repr.  Copies and pickles go through
+``__init__`` with the fields in order, so its parameters must take them in
+that order.  The package builds no record with `dataclasses`: importing it
+would pull `inspect` and its imports into every process that solves, runs
+a parity routine or generates a reduction.
 """
 from __future__ import annotations
 
@@ -16,6 +19,10 @@ __all__ = ["Frozen"]
 
 class Frozen:
     __slots__ = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

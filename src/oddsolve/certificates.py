@@ -59,11 +59,7 @@ class Certificate(Frozen):
     def __init__(self, problem: str, value: int, vertex_set: int | None = None,
                  coloring: tuple[int, ...] | None = None,
                  arcs: tuple[tuple[int, int], ...] | None = None) -> None:
-        object.__setattr__(self, "problem", problem)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "vertex_set", vertex_set)
-        object.__setattr__(self, "coloring", coloring)
-        object.__setattr__(self, "arcs", arcs)
+        Frozen.__init__(self, problem, value, vertex_set, coloring, arcs)
         if self.problem not in PROBLEMS:
             raise CertificateError(f"unknown problem tag {self.problem!r}")
         want_set = self.problem in _SET_PROBLEMS

@@ -220,13 +220,16 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
     out: list[str] = []
 
     if op in ("odd2col", "even2col"):
-        res = parity.odd_two_coloring(g) if op == "odd2col" else parity.even_two_coloring(g)
-        if res is None:
+        # even2col is gallai-ee's partition with A as class 1, not class 0
+        parts = parity.odd_two_coloring(g) if op == "odd2col" else parity.gallai_even_even(g)
+        if parts is None:
             out.append("the per-vertex parity system is unsatisfiable")
             return EXIT_INFEASIBLE, [_result_line(None, False)] + out
-        used = _coloring_classes(res.colors)
-        out.append(f"classes: {_vertex_list(res.class_mask(0))} | {_vertex_list(res.class_mask(1))}")
-        _emit_certificate(args, out, op, used, coloring=res.colors)
+        a, b = parts
+        coloring = tuple(a >> v & 1 for v in range(g.n))
+        used = _coloring_classes(coloring)
+        out.append(f"classes: {_vertex_list(b)} | {_vertex_list(a)}")
+        _emit_certificate(args, out, op, used, coloring=coloring)
         return EXIT_OK, [_result_line(used, True)] + out
 
     if op in ("gallai-oe", "gallai-ee"):
@@ -239,14 +242,14 @@ def _cmd_poly(args) -> tuple[int, list[str]]:
         return EXIT_OK, [_result_line(a.bit_count(), True)] + out
 
     if op == "odd-orient":
-        res = parity.odd_orientation(g)
-        if res is None:
+        arcs = parity.odd_orientation(g)
+        if arcs is None:
             comp = parity.orientation_obstruction(g)
             out.append(f"component {{{_vertex_list(comp)}}} has odd |V|+|E|")
             return EXIT_INFEASIBLE, [_result_line(None, False)] + out
-        out.extend(f"orient {u + 1} {v + 1}" for u, v in res.arcs)
-        _emit_certificate(args, out, "odd-orient", len(res.arcs), arcs=res.arcs)
-        return EXIT_OK, [_result_line(len(res.arcs), True)] + out
+        out.extend(f"orient {u + 1} {v + 1}" for u, v in arcs)
+        _emit_certificate(args, out, "odd-orient", len(arcs), arcs=arcs)
+        return EXIT_OK, [_result_line(len(arcs), True)] + out
 
     if op == "join-bound":
         if not args.side:
@@ -326,7 +329,7 @@ def _cmd_gen(args) -> tuple[int, list[str]]:
             inst = reductions.gen_qcol_instance(base)
             g = inst.graph
             out.append(f"fixed |V|={inst.fixed.n} |E|={inst.fixed.m}")
-            out.extend(f"orient {u + 1} {v + 1}" for u, v in inst.orientation.arcs)
+            out.extend(f"orient {u + 1} {v + 1}" for u, v in inst.orientation)
     text = write_graph(g)
     if args.out:
         _write(args.out, text)

@@ -38,6 +38,9 @@ class RowBasis(Frozen):
     # (pivot bit, row, combination over basis positions), by ascending pivot
     _elems: list[tuple[int, int, int]]
 
+    # Not Frozen.__init__: one RowBasis is built per DP cut, and on Python
+    # 3.11 the generic loop took 0.87-0.89 us per construction against
+    # 0.39-0.40 us for these two lines, about 1 ms over P2000's 1,999 cuts.
     def __init__(self, basis_row_indices: tuple[int, ...],
                  _elems: list[tuple[int, int, int]]) -> None:
         object.__setattr__(self, "basis_row_indices", basis_row_indices)

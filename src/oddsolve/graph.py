@@ -89,11 +89,6 @@ class Graph(Frozen):
     adj: tuple[int, ...]
     m: int
 
-    def __init__(self, n: int, adj: tuple[int, ...], m: int) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "m", m)
-
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph, collapsing duplicate edges and rejecting loops."""

@@ -6,18 +6,16 @@ outputs are deterministic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 
+from ._frozen import Frozen
 from .gf2 import solve
 from .graph import Graph, GraphError, vertices_of
 
 __all__ = [
     "CographFailure",
     "JoinBoundResult",
-    "Orientation",
-    "TwoColoring",
     "cograph_odd_3_coloring",
-    "even_two_coloring",
     "gallai_even_even",
     "gallai_odd_even",
     "join_bound_floor",
@@ -26,20 +24,6 @@ __all__ = [
     "odd_two_coloring",
     "orientation_obstruction",
 ]
-
-
-@dataclass(frozen=True)
-class TwoColoring:
-    """2-class vertex coloring."""
-
-    colors: tuple[int, ...]                      # class 0 or 1 per vertex
-
-    def class_mask(self, cls: int) -> int:
-        m = 0
-        for v, c in enumerate(self.colors):
-            if c == cls:
-                m |= 1 << v
-        return m
 
 
 def _vertex_system(g: Graph, self_extra: int, rhs_extra: int) -> int | None:
@@ -66,19 +50,10 @@ def _vertex_system(g: Graph, self_extra: int, rhs_extra: int) -> int | None:
     return solve(rows, rhs)
 
 
-def odd_two_coloring(g: Graph) -> TwoColoring | None:
-    """Partition into <= 2 classes, each inducing an odd subgraph, or None."""
+def odd_two_coloring(g: Graph) -> tuple[int, int] | None:
+    """(A, B) with both induced parts odd, or None if no such partition."""
     x = _vertex_system(g, self_extra=0, rhs_extra=1)
-    return None if x is None else TwoColoring(tuple(x >> v & 1 for v in range(g.n)))
-
-
-def even_two_coloring(g: Graph) -> TwoColoring:
-    """Partition into <= 2 classes, each inducing an even subgraph.
-
-    Its system is `gallai_even_even`'s, so class 1 is that partition's A.
-    """
-    a, _ = gallai_even_even(g)
-    return TwoColoring(tuple(a >> v & 1 for v in range(g.n)))
+    return None if x is None else (x, g.full_mask & ~x)
 
 
 def _gallai(g: Graph, self_extra: int) -> tuple[int, int]:
@@ -98,26 +73,23 @@ def gallai_even_even(g: Graph) -> tuple[int, int]:
     return _gallai(g, self_extra=0)
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """Edge orientations as (tail, head) arcs, one per edge in edge order."""
-
-    arcs: tuple[tuple[int, int], ...]
+def _orientation_obstructions(g: Graph) -> Iterator[int]:
+    """Masks of the components with odd |V_c| + |E_c|, by smallest vertex."""
+    for comp in g.components():
+        edges_inside = sum((g.adj[v] & comp).bit_count() for v in vertices_of(comp)) // 2
+        if (comp.bit_count() + edges_inside) & 1:
+            yield comp
 
 
 def orientation_obstruction(g: Graph) -> int | None:
     """Mask of the first component with odd |V_c| + |E_c|, or None."""
-    for comp in g.components():
-        edges_inside = sum((g.adj[v] & comp).bit_count() for v in vertices_of(comp)) // 2
-        if (comp.bit_count() + edges_inside) & 1:
-            return comp
-    return None
+    return next(_orientation_obstructions(g), None)
 
 
-def odd_orientation(g: Graph) -> Orientation | None:
-    """Orientation with every in-degree odd, or None if any component forbids.
+def odd_orientation(g: Graph) -> tuple[tuple[int, int], ...] | None:
+    """(tail, head) arcs with every in-degree odd, or None if a component forbids.
 
-    Exists iff |V_c| + |E_c| is even for every component.  Non-tree edges are
+    One arc per edge, in edge order.  Exists iff |V_c| + |E_c| is even for every component.  Non-tree edges are
     oriented low->high; a leaves-to-root sweep of a BFS tree fixes parities.
     """
     if orientation_obstruction(g) is not None:
@@ -159,11 +131,11 @@ def odd_orientation(g: Graph) -> Orientation | None:
     for u, v in g.edges():
         h = head[(u, v)]
         arcs.append((u if h == v else v, h))
-    return Orientation(tuple(arcs))
+    return tuple(arcs)
 
 
-@dataclass(frozen=True)
-class JoinBoundResult:
+class JoinBoundResult(Frozen):
+    __slots__ = ("subgraph", "coloring")
     subgraph: int                        # vertex mask inducing an odd subgraph
     coloring: tuple[int, ...] | None     # classes 0..2 over all of V when n is even
 
@@ -235,8 +207,8 @@ def join_bound_subgraph(g: Graph, v1: int, v2: int) -> JoinBoundResult:
     return JoinBoundResult(best, tuple(colors))
 
 
-@dataclass(frozen=True)
-class CographFailure:
+class CographFailure(Frozen):
+    __slots__ = ("reason", "detail")
     reason: str     # "not-cograph" | "odd-component"
     detail: int     # vertex mask of the offending induced subgraph
 
@@ -262,13 +234,12 @@ def cograph_odd_3_coloring(g: Graph) -> tuple[int, ...] | CographFailure:
     odd order (the odd chromatic number is undefined there).
     """
     co = g.complement()
-    if not _is_cograph(g, co, g.full_mask):
-        for comp in g.components():
-            if not _is_cograph(g, co, comp):
-                return CographFailure("not-cograph", comp)
-        return CographFailure("not-cograph", g.full_mask)
+    comps = g.components()
+    for comp in comps:
+        if not _is_cograph(g, co, comp):
+            return CographFailure("not-cograph", comp)
     colors = [0] * g.n
-    for comp in g.components():
+    for comp in comps:
         if comp.bit_count() & 1:
             return CographFailure("odd-component", comp)
         sub, verts = g.induced(comp)

@@ -47,9 +47,8 @@ class DecompositionTree(Frozen):
 
     def __init__(self, children: dict[int, tuple[int, int]] | None = None,
                  leaf_vertex: dict[int, int] | None = None, root: int = 0) -> None:
-        object.__setattr__(self, "children", {} if children is None else children)
-        object.__setattr__(self, "leaf_vertex", {} if leaf_vertex is None else leaf_vertex)
-        object.__setattr__(self, "root", root)
+        Frozen.__init__(self, {} if children is None else children,
+                        {} if leaf_vertex is None else leaf_vertex, root)
         dup = self.children.keys() & self.leaf_vertex.keys()
         if dup:
             raise TreeFormatError(f"node ids both internal and leaf: {sorted(dup)}")

@@ -9,10 +9,9 @@ Three constructions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graph import Graph, _check_order, vertices_of
-from .parity import Orientation, odd_orientation
+from ._frozen import Frozen
+from .graph import Graph, _check_order
+from .parity import _orientation_obstructions, odd_orientation
 
 __all__ = [
     "Cnf23",
@@ -40,14 +39,15 @@ class ReductionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Cnf23:
+class Cnf23(Frozen):
     """CNF formula; literals are DIMACS-style nonzero ints (sign = polarity)."""
 
+    __slots__ = ("n_vars", "clauses")
     n_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n_vars: int, clauses: tuple[tuple[int, ...], ...]) -> None:
+        Frozen.__init__(self, n_vars, clauses)
         for clause in self.clauses:
             if not clause:
                 raise CnfFormatError("empty clause")
@@ -142,8 +142,7 @@ def parse_cnf(text: str) -> Cnf23:
     return cnf
 
 
-@dataclass(frozen=True)
-class GadgetMap:
+class GadgetMap(Frozen):
     """Vertex layout of a generated even-subgraph instance.
 
     Variable blocks come first, one per variable: p path vertices (endpoints
@@ -152,6 +151,7 @@ class GadgetMap:
     vertices grouped by literal slot.
     """
 
+    __slots__ = ("n", "p", "clause_literals", "equivalence_guaranteed")
     n: int
     p: int
     clause_literals: tuple[tuple[int, ...], ...]
@@ -215,7 +215,7 @@ def gen_mes_instance(cnf: Cnf23, p: int = MIN_PROOF_P,
             "enable the small-p override to build it anyway")
     n = cnf.n_vars
     _check_order(n * (p + 16))
-    gm = GadgetMap(n, p, cnf.clauses, equivalence_guaranteed=p >= MIN_PROOF_P)
+    gm = GadgetMap(n, p, cnf.clauses, p >= MIN_PROOF_P)
     edges: list[tuple[int, int]] = []
     for i in range(n):
         base = gm.var_base(i)
@@ -234,10 +234,10 @@ def gen_mes_instance(cnf: Cnf23, p: int = MIN_PROOF_P,
     return g, gm, (p + 13) * n
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(Frozen):
     """Assignment fails the exactly-two-true condition at one clause."""
 
+    __slots__ = ("clause_index", "true_count")
     clause_index: int
     true_count: int
 
@@ -305,21 +305,22 @@ def gen_mos_instance(g: Graph, k: int) -> Graph:
     return Graph.from_edges(g.n + k + 2, edges)
 
 
-@dataclass(frozen=True)
-class QcolInstance:
+class QcolInstance(Frozen):
     """Subdivision instance: chi(original) <= q iff chi_odd(graph) <= q (q >= 3).
 
     `fixed` is the original graph with a triangle (three new vertices, plus
     an edge to the component's lowest vertex) attached to every component of
     odd |V_c| + |E_c|; `graph` subdivides every edge of `fixed` once.
-    `orientation` is an odd orientation of `fixed` (always exists after the
-    fixup) and drives the forward witness; `subdivision_vertex` maps each
-    fixed-graph edge to its subdivision vertex in `graph`.
+    `orientation` is an odd orientation of `fixed` as `odd_orientation`
+    gives it, one (tail, head) arc per edge in edge order (one always exists
+    after the fixup); it drives the forward witness.  `subdivision_vertex`
+    maps each fixed-graph edge to its subdivision vertex in `graph`.
     """
 
+    __slots__ = ("graph", "fixed", "orientation", "subdivision_vertex", "original_n")
     graph: Graph
     fixed: Graph
-    orientation: Orientation
+    orientation: tuple[tuple[int, int], ...]
     subdivision_vertex: dict[tuple[int, int], int]
     original_n: int
 
@@ -327,13 +328,11 @@ class QcolInstance:
 def gen_qcol_instance(g: Graph) -> QcolInstance:
     triangles: list[tuple[int, int]] = []
     n_fixed = g.n
-    for comp in g.components():
-        edges_inside = sum((g.adj[v] & comp).bit_count() for v in vertices_of(comp)) // 2
-        if (comp.bit_count() + edges_inside) % 2 == 1:
-            anchor = (comp & -comp).bit_length() - 1
-            v1, v2, v3 = n_fixed, n_fixed + 1, n_fixed + 2
-            triangles += [(anchor, v1), (v1, v2), (v1, v3), (v2, v3)]
-            n_fixed += 3
+    for comp in _orientation_obstructions(g):
+        anchor = (comp & -comp).bit_length() - 1
+        v1, v2, v3 = n_fixed, n_fixed + 1, n_fixed + 2
+        triangles += [(anchor, v1), (v1, v2), (v1, v3), (v2, v3)]
+        n_fixed += 3
     _check_order(n_fixed + g.m + len(triangles))  # one subdivision vertex per edge
     edges = list(g.edges()) + triangles
     fixed = Graph.from_edges(n_fixed, edges)
@@ -372,7 +371,7 @@ def qcol_witness(inst: QcolInstance, coloring) -> tuple[int, ...]:
         if full[u] == full[v]:
             raise ReductionError(f"coloring is not proper at edge ({u}, {v})")
     colors = list(full) + [0] * len(inst.subdivision_vertex)
-    for (u, v), (tail, head) in zip(fixed.edges(), inst.orientation.arcs):
+    for (u, v), (tail, head) in zip(fixed.edges(), inst.orientation):
         assert {u, v} == {tail, head}
         colors[inst.subdivision_vertex[(u, v)]] = full[head]
     return tuple(colors)

@@ -20,7 +20,7 @@ from oddsolve.certificates import (
 )
 from oddsolve.graph import Graph, gen_family
 from oddsolve.oracle import oracle_odd_ds
-from oddsolve.parity import even_two_coloring, gallai_odd_even, odd_orientation
+from oddsolve.parity import gallai_even_even, gallai_odd_even, odd_orientation
 from oddsolve.rankdec import caterpillar, heuristic_order
 
 
@@ -46,7 +46,7 @@ def test_roundtrip_all_payload_kinds():
     certs = [Certificate("mos", val, vertex_set=mask)]
     q, colors = dp.chi_odd(g, t)
     certs.append(Certificate("chi-odd", q, coloring=colors))
-    certs.append(Certificate("odd-orient", g.m, arcs=odd_orientation(g).arcs))
+    certs.append(Certificate("odd-orient", g.m, arcs=odd_orientation(g)))
     # on the empty graph every payload is empty, so no payload line is written
     empty = Graph.from_edges(0, [])
     empty_certs = [Certificate("mos", 0, vertex_set=0),
@@ -143,14 +143,15 @@ def test_verify_gallai_and_even_colorings():
         # swapping the parts must fail unless both happen to qualify
         swapped = tuple(1 - c for c in coloring)
         ok_sw, _ = verify(g, Certificate("gallai-oe", b.bit_count(), coloring=swapped))
-        tc = even_two_coloring(g)
-        ok, detail = verify(g, Certificate("even2col", 2, coloring=tc.colors))
+        even, _ = gallai_even_even(g)  # `poly even2col` puts this part in class 1
+        ok, detail = verify(g, Certificate("even2col", 2,
+                                           coloring=tuple(even >> v & 1 for v in range(g.n))))
         assert ok, detail
 
 
 def test_verify_orientation():
     g = gen_family("cycle", 4)
-    arcs = odd_orientation(g).arcs
+    arcs = odd_orientation(g)
     ok, _ = verify(g, Certificate("odd-orient", 4, arcs=arcs))
     assert ok
     flipped = ((arcs[0][1], arcs[0][0]),) + arcs[1:]

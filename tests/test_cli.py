@@ -10,7 +10,7 @@ import pytest
 
 from conftest import binary_tree
 from oddsolve import dp, rankdec
-from oddsolve.cli import SOLVE_PROBLEMS, main
+from oddsolve.cli import POLY_OPS, SOLVE_PROBLEMS, main
 from oddsolve.graph import MAX_VERTICES, Graph, parse_graph, write_graph, gen_family
 from oddsolve.rankdec import METHODS
 
@@ -172,47 +172,47 @@ def test_gen_path_at_the_vertex_bound_fits_in_1_gib(tmp_path):
     assert proc.stdout.splitlines()[0] == f"value={MAX_VERTICES} feasible=true"
 
 
-# Runs the CLI in a fresh interpreter and reports, after each command, which
-# of the modules that only oracle, poly and gen reduce need are loaded.
+# Runs CLI commands, given as a JSON list of argument lists, in one fresh
+# interpreter and reports, after each command, which of the modules that
+# only oracle, poly and gen reduce need are loaded.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-from oddsolve.cli import SOLVE_PROBLEMS, main
+from oddsolve.cli import main
 
-graph, cert, cnf, out = sys.argv[1:]
 lazy = ("oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions", "dataclasses", "inspect")
-
-
-def loaded(*argv):
+report = []
+for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main(list(argv))
-    return code, [m for m in lazy if m in sys.modules]
-
-
-report = [loaded("solve", p, "--graph", graph, "--q", "3", "--emit-certificate", cert)
-          for p in SOLVE_PROBLEMS]
-report.append(loaded("poly", "odd2col", "--graph", graph))
-report.append(loaded("oracle", "mos", "--graph", graph))
-report.append(loaded("gen", "reduce", "mes", "--cnf", cnf, "--p", "4", "--allow-small-p",
-                     "--out", out))
+        code = main(argv)
+    report.append([code, [m for m in lazy if m in sys.modules]])
 print(json.dumps(report))
 """
+
+
+def _loaded(*commands: list[str]) -> list:
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def test_solve_imports_only_the_solve_path(p4_file, tmp_path):
     cnf = tmp_path / "toy.cnf"
     cnf.write_text(TOY_CNF)
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, p4_file, str(tmp_path / "cert.txt"),
-         str(cnf), str(tmp_path / "mes.col")],
-        capture_output=True, text=True, check=True)
-    report = json.loads(proc.stdout)
-    solves, (poly, orc, gen) = report[:len(SOLVE_PROBLEMS)], report[len(SOLVE_PROBLEMS):]
+    cert = str(tmp_path / "cert.txt")
+    solves = _loaded(*[["solve", p, "--graph", p4_file, "--q", "3", "--emit-certificate", cert]
+                       for p in SOLVE_PROBLEMS])
     assert solves == [[0, []]] * len(SOLVE_PROBLEMS)
-    # `dataclasses` (and `inspect`, which it imports) arrive with `parity`
-    assert poly == [0, ["oddsolve.parity", "dataclasses", "inspect"]]
-    assert orc == [0, ["oddsolve.oracle", "oddsolve.parity", "dataclasses", "inspect"]]
-    assert gen == [0, ["oddsolve.oracle", "oddsolve.parity", "oddsolve.reductions",
-                       "dataclasses", "inspect"]]
+    # each other command in its own interpreter, so a list names what that
+    # command loads, not what an earlier one left behind
+    [poly] = _loaded(["poly", "odd2col", "--graph", p4_file])
+    [orc] = _loaded(["oracle", "mos", "--graph", p4_file])
+    [gen] = _loaded(["gen", "reduce", "mes", "--cnf", str(cnf), "--p", "4",
+                     "--allow-small-p", "--out", str(tmp_path / "mes.col")])
+    assert poly == [0, ["oddsolve.parity"]]
+    assert orc == [0, ["oddsolve.oracle"]]
+    assert gen == [0, ["oddsolve.parity", "oddsolve.reductions"]]
+    # every record is a `Frozen`, so no command loads `dataclasses` or `inspect`
+    assert not {"dataclasses", "inspect"} & {m for _, mods in [poly, orc, gen] for m in mods}
 
 
 def test_cli_import_leaves_out_typing_and_random():
@@ -398,15 +398,148 @@ def test_oracle_subcommand_agrees_with_solve(capsys, tmp_path):
                 assert (oracle_code, reported) == (code, solved), (problem, name, q)
 
 
-def test_poly_subcommands(capsys, p4_file, k222_file, tmp_path):
-    code, out, _ = run(capsys, "poly", "odd2col", "--graph", p4_file)
-    assert code == 0 and out.startswith("value=2")
-    code, out, _ = run(capsys, "poly", "even2col", "--graph", p4_file)
-    assert code == 0
+# Every poly op run with `--side 1,2 --emit-certificate`, as (exit code,
+# stdout lines without the "certificate written to" line, or the stderr
+# lines on exit 1, certificate lines or None).  On K4 all seven ops succeed;
+# C6 has no odd 2-coloring, P4 is not a cograph, and the 5-vertex star's
+# one component has odd |V|+|E|.
+POLY_PINS = {
+    "k4": {
+        "odd2col": (0,
+            ["value=1 feasible=true", "classes: 1 2 3 4 | "],
+            ["problem odd2col", "value 1", "color 1 1", "color 2 1", "color 3 1", "color 4 1"]),
+        "even2col": (0,
+            ["value=2 feasible=true", "classes: 2 3 4 | 1"],
+            ["problem even2col", "value 2", "color 1 2", "color 2 1", "color 3 1", "color 4 1"]),
+        "gallai-ee": (0,
+            ["value=1 feasible=true", "part a: 1", "part b: 2 3 4"],
+            ["problem gallai-ee", "value 1", "color 1 1", "color 2 2", "color 3 2",
+             "color 4 2"]),
+        "gallai-oe": (0,
+            ["value=4 feasible=true", "part a: 1 2 3 4", "part b: "],
+            ["problem gallai-oe", "value 4", "color 1 1", "color 2 1", "color 3 1",
+             "color 4 1"]),
+        "odd-orient": (0,
+            ["value=6 feasible=true", "orient 1 2", "orient 3 1", "orient 1 4", "orient 2 3",
+             "orient 2 4", "orient 3 4"],
+            ["problem odd-orient", "value 6", "orient 1 2", "orient 3 1", "orient 1 4",
+             "orient 2 3", "orient 2 4", "orient 3 4"]),
+        "join-bound": (0,
+            ["value=2 feasible=true", "guarantee: 2", "subgraph: 2 4", "coloring: 3 1 3 1"],
+            ["problem join-bound", "value 2", "set 2 4"]),
+        "cograph-3col": (0,
+            ["value=1 feasible=true"],
+            ["problem cograph-3col", "value 1", "color 1 1", "color 2 1", "color 3 1",
+             "color 4 1"]),
+    },
+    "c6": {
+        "odd2col": (2,
+            ["value=none feasible=false", "the per-vertex parity system is unsatisfiable"],
+            None),
+        "even2col": (0,
+            ["value=1 feasible=true", "classes: 1 2 3 4 5 6 | "],
+            ["problem even2col", "value 1", "color 1 1", "color 2 1", "color 3 1", "color 4 1",
+             "color 5 1", "color 6 1"]),
+        "gallai-ee": (0,
+            ["value=0 feasible=true", "part a: ", "part b: 1 2 3 4 5 6"],
+            ["problem gallai-ee", "value 0", "color 1 2", "color 2 2", "color 3 2",
+             "color 4 2", "color 5 2", "color 6 2"]),
+        "gallai-oe": (0,
+            ["value=0 feasible=true", "part a: ", "part b: 1 2 3 4 5 6"],
+            ["problem gallai-oe", "value 0", "color 1 2", "color 2 2", "color 3 2",
+             "color 4 2", "color 5 2", "color 6 2"]),
+        "odd-orient": (0,
+            ["value=6 feasible=true", "orient 1 2", "orient 6 1", "orient 2 3", "orient 3 4",
+             "orient 4 5", "orient 5 6"],
+            ["problem odd-orient", "value 6", "orient 1 2", "orient 6 1", "orient 2 3",
+             "orient 3 4", "orient 4 5", "orient 5 6"]),
+        "join-bound": (1,
+            ["error: not a join: missing edge (0, 4)"],
+            None),
+        "cograph-3col": (2,
+            ["value=none feasible=false", "not-cograph: {1 2 3 4 5 6}"],
+            None),
+    },
+    "p4": {
+        "odd2col": (0,
+            ["value=2 feasible=true", "classes: 3 4 | 1 2"],
+            ["problem odd2col", "value 2", "color 1 2", "color 2 2", "color 3 1", "color 4 1"]),
+        "even2col": (0,
+            ["value=2 feasible=true", "classes: 2 4 | 1 3"],
+            ["problem even2col", "value 2", "color 1 2", "color 2 1", "color 3 2", "color 4 1"]),
+        "gallai-ee": (0,
+            ["value=2 feasible=true", "part a: 1 3", "part b: 2 4"],
+            ["problem gallai-ee", "value 2", "color 1 1", "color 2 2", "color 3 1",
+             "color 4 2"]),
+        "gallai-oe": (0,
+            ["value=2 feasible=true", "part a: 2 3", "part b: 1 4"],
+            ["problem gallai-oe", "value 2", "color 1 2", "color 2 1", "color 3 1",
+             "color 4 2"]),
+        "odd-orient": (2,
+            ["value=none feasible=false", "component {1 2 3 4} has odd |V|+|E|"],
+            None),
+        "join-bound": (1,
+            ["error: not a join: missing edge (0, 3)"],
+            None),
+        "cograph-3col": (2,
+            ["value=none feasible=false", "not-cograph: {1 2 3 4}"],
+            None),
+    },
+    "s5": {
+        "odd2col": (2,
+            ["value=none feasible=false", "the per-vertex parity system is unsatisfiable"],
+            None),
+        "even2col": (0,
+            ["value=2 feasible=true", "classes: 2 3 4 5 | 1"],
+            ["problem even2col", "value 2", "color 1 2", "color 2 1", "color 3 1", "color 4 1",
+             "color 5 1"]),
+        "gallai-ee": (0,
+            ["value=1 feasible=true", "part a: 1", "part b: 2 3 4 5"],
+            ["problem gallai-ee", "value 1", "color 1 1", "color 2 2", "color 3 2",
+             "color 4 2", "color 5 2"]),
+        "gallai-oe": (0,
+            ["value=2 feasible=true", "part a: 1 2", "part b: 3 4 5"],
+            ["problem gallai-oe", "value 2", "color 1 1", "color 2 1", "color 3 2",
+             "color 4 2", "color 5 2"]),
+        "odd-orient": (2,
+            ["value=none feasible=false", "component {1 2 3 4 5} has odd |V|+|E|"],
+            None),
+        "join-bound": (1,
+            ["error: not a join: missing edge (1, 4)"],
+            None),
+        "cograph-3col": (2,
+            ["value=none feasible=false", "odd-component: {1 2 3 4 5}"],
+            None),
+    },
+}
+
+POLY_GRAPHS = {"k4": ("clique", 4), "c6": ("cycle", 6), "p4": ("path", 4), "s5": ("star", 5)}
+
+
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def test_poly_subcommands(capsys, k222_file, tmp_path):
+    cert = tmp_path / "poly.cert"
+    for name, (family, n) in POLY_GRAPHS.items():
+        graph = tmp_path / f"{name}.col"
+        graph.write_text(write_graph(gen_family(family, n)))
+        assert sorted(POLY_PINS[name]) == sorted(POLY_OPS)
+        for op, (want_code, lines, want_cert) in POLY_PINS[name].items():
+            cert.unlink(missing_ok=True)
+            code, out, err = run(capsys, "poly", op, "--graph", str(graph), "--side", "1,2",
+                                 "--emit-certificate", str(cert))
+            if want_code == 1:
+                want = ("", _text(lines))
+            else:
+                shown = lines + [f"certificate written to {cert}"] * (want_cert is not None)
+                want = (_text(shown), "")
+            assert (code, out, err) == (want_code, *want), (name, op)
+            got_cert = cert.read_text() if cert.exists() else None
+            assert got_cert == (None if want_cert is None else _text(want_cert)), (name, op)
     code, out, _ = run(capsys, "poly", "gallai-oe", "--graph", k222_file)
     assert code == 0
-    code, out, _ = run(capsys, "poly", "cograph-3col", "--graph", p4_file)
-    assert code == 2  # P4 is the forbidden subgraph itself
     code, out, _ = run(capsys, "poly", "cograph-3col", "--graph", k222_file)
     assert code == 0
     code, out, _ = run(capsys, "poly", "join-bound", "--graph", k222_file,
@@ -414,10 +547,6 @@ def test_poly_subcommands(capsys, p4_file, k222_file, tmp_path):
     assert code == 0
     code, _, err = run(capsys, "poly", "join-bound", "--graph", k222_file)
     assert code == 1  # --side is required
-    star = tmp_path / "s5.col"
-    star.write_text(write_graph(gen_family("star", 5)))
-    code, out, _ = run(capsys, "poly", "odd-orient", "--graph", str(star))
-    assert code == 2 and "component" in out
 
 
 def test_poly_odd2col_names_the_per_vertex_system(capsys, c6_file, tmp_path):

@@ -18,7 +18,6 @@ from oddsolve.graph import Graph, GraphError, gen_family, vertices_of
 from oddsolve.parity import (
     CographFailure,
     cograph_odd_3_coloring,
-    even_two_coloring,
     gallai_even_even,
     gallai_odd_even,
     join_bound_floor,
@@ -27,6 +26,12 @@ from oddsolve.parity import (
     odd_two_coloring,
     orientation_obstruction,
 )
+
+
+def class_one(g: Graph, a: int) -> tuple[int, ...]:
+    """The 2-coloring that puts part `a` in class 1, as `poly odd2col` and
+    `poly even2col` print it."""
+    return tuple(a >> v & 1 for v in range(g.n))
 
 
 def brute_odd_two_colorable(g: Graph) -> bool:
@@ -75,7 +80,9 @@ def test_odd_two_coloring_matches_bruteforce_tiny():
         res = odd_two_coloring(g)
         assert (res is not None) == brute_odd_two_colorable(g)
         if res is not None:
-            assert check_odd_coloring(g, res.colors, 2)
+            a, b = res
+            assert a & b == 0 and a | b == g.full_mask
+            assert check_odd_coloring(g, class_one(g, a), 2)
 
 
 def test_odd_two_coloring_matches_bruteforce_random():
@@ -88,42 +95,45 @@ def test_odd_two_coloring_matches_bruteforce_random():
 
 def test_two_coloring_edge_mono_markers():
     # the monochromatic edges at each vertex, read off the colors, number
-    # odd in an odd 2-coloring and even in an even one.  An odd class has
-    # even order, so at n = 7 no odd 2-coloring exists; n = 8 has both.
+    # odd in an odd 2-coloring and even in an even one (gallai_even_even's
+    # parts).  An odd class has even order, so at n = 7 no odd 2-coloring
+    # exists; n = 8 has both.
     rng = random.Random(42)
     odd_found = 0
     for n in (7, 8):
         for _ in range(20):
             g = rand_graph(rng, n)
             odd = odd_two_coloring(g)
-            even = even_two_coloring(g)
-            assert even.colors == tuple(gallai_even_even(g)[0] >> v & 1 for v in range(n))
-            for res, parity in ((odd, 1), (even, 0)):
+            for res, parity in ((odd, 1), (gallai_even_even(g), 0)):
                 if res is None:
                     continue
+                colors = class_one(g, res[0])
                 for u in range(n):
-                    mono = [v for v in vertices_of(g.adj[u]) if res.colors[v] == res.colors[u]]
+                    mono = [v for v in vertices_of(g.adj[u]) if colors[v] == colors[u]]
                     assert len(mono) % 2 == parity
             assert n % 2 == 0 or odd is None
             odd_found += odd is not None
     assert 0 < odd_found < 20  # both outcomes of the odd system occur
 
 
-def test_even_two_coloring_always_exists():
+def test_even_even_partition_always_exists():
+    # `poly even2col` prints gallai_even_even's partition, from n = 0 up
     rng = random.Random(43)
     for n in range(0, 11):
         for _ in range(10):
             g = rand_graph(rng, n, rng.random())
-            res = even_two_coloring(g)
-            assert check_even_set(g, res.class_mask(0))
-            assert check_even_set(g, res.class_mask(1))
-            assert res.class_mask(0) | res.class_mask(1) == g.full_mask
+            a, b = gallai_even_even(g)
+            assert check_even_set(g, a)
+            assert check_even_set(g, b)
+            assert a | b == g.full_mask
 
 
 def test_class_masks_partition():
-    g = gen_family("cycle", 6)
-    res = even_two_coloring(g)
-    assert res.class_mask(0) & res.class_mask(1) == 0
+    for g in (gen_family("cycle", 6), gen_family("clique", 4), gen_family("path", 4)):
+        for parts in (odd_two_coloring(g), gallai_even_even(g), gallai_odd_even(g)):
+            if parts is not None:
+                a, b = parts
+                assert a & b == 0 and a | b == g.full_mask
 
 
 # ------------------------------------------------------------------- Gallai
@@ -151,27 +161,26 @@ def test_gallai_edge_cases():
     assert check_odd_set(k2, a) and check_even_set(k2, b)
 
 
-# (family, n): odd 2-coloring classes or None, even 2-coloring classes,
-# gallai_odd_even, gallai_even_even.  Free variables are fixed to 0, so
-# each system has exactly one reported solution; these pin which one.
+# (family, n): odd_two_coloring, gallai_odd_even, gallai_even_even, each
+# as (A, B) masks.  Free variables are fixed to 0, so each system has
+# exactly one reported solution; these pin which one.  `poly even2col`
+# prints gallai_even_even's partition.
 PINNED_PARITY_OUTPUTS = {
-    ("path", 4): ((1, 1, 0, 0), (1, 0, 1, 0), (6, 9), (5, 10)),
-    ("path", 5): (None, (0, 1, 0, 1, 0), (27, 4), (10, 21)),
-    ("cycle", 5): (None, (0, 0, 0, 0, 0), (0, 31), (0, 31)),
-    ("cycle", 6): (None, (0, 0, 0, 0, 0, 0), (0, 63), (0, 63)),
-    ("clique", 4): ((0, 0, 0, 0), (1, 0, 0, 0), (15, 0), (1, 14)),
-    ("star", 5): (None, (1, 0, 0, 0, 0), (3, 28), (1, 30)),
-    ("star", 6): ((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (3, 60), (1, 62)),
+    ("path", 4): ((3, 12), (6, 9), (5, 10)),
+    ("path", 5): (None, (27, 4), (10, 21)),
+    ("cycle", 5): (None, (0, 31), (0, 31)),
+    ("cycle", 6): (None, (0, 63), (0, 63)),
+    ("clique", 4): ((0, 15), (15, 0), (1, 14)),
+    ("star", 5): (None, (3, 28), (1, 30)),
+    ("star", 6): ((0, 63), (3, 60), (1, 62)),
 }
 
 
 @pytest.mark.parametrize("family,n", sorted(PINNED_PARITY_OUTPUTS))
 def test_parity_outputs_are_pinned(family, n):
     g = gen_family(family, n)
-    odd, even, odd_even, even_even = PINNED_PARITY_OUTPUTS[family, n]
-    got_odd = odd_two_coloring(g)
-    assert (None if got_odd is None else got_odd.colors) == odd
-    assert even_two_coloring(g).colors == even
+    odd, odd_even, even_even = PINNED_PARITY_OUTPUTS[family, n]
+    assert odd_two_coloring(g) == odd
     assert gallai_odd_even(g) == odd_even
     assert gallai_even_even(g) == even_even
 
@@ -183,7 +192,8 @@ def test_two_part_witnesses_verify_at_scale():
     for g in (rand_cograph(random.Random(5), 150), rand_graph(random.Random(6), 200)):
         odd = odd_two_coloring(g)
         assert odd is not None
-        witnesses = [("odd2col", odd.colors), ("even2col", even_two_coloring(g).colors)]
+        witnesses = [("odd2col", class_one(g, odd[0])),
+                     ("even2col", class_one(g, gallai_even_even(g)[0]))]
         for problem, fn in (("gallai-oe", gallai_odd_even), ("gallai-ee", gallai_even_even)):
             a, _ = fn(g)
             witnesses.append((problem, tuple(0 if a >> v & 1 else 1 for v in range(g.n))))
@@ -227,9 +237,9 @@ def test_orientation_indegrees_all_odd():
         if res is None:
             continue
         found += 1
-        assert len(res.arcs) == g.m
-        assert sorted((min(a), max(a)) for a in res.arcs) == sorted(g.edges())
-        heads = [head for _, head in res.arcs]
+        assert len(res) == g.m
+        assert sorted((min(a), max(a)) for a in res) == sorted(g.edges())
+        heads = [head for _, head in res]
         assert all(heads.count(v) % 2 == 1 for v in range(g.n))
 
 
