@@ -18,11 +18,12 @@ code is a unit row, so a system that selects only classes of basis vertices
 is already in reduced form, and `row_basis` runs only when another class
 is selected.
 
-At a node where every vertex of ∂A is a basis vertex, each class is one
-vertex with its own unit row, and a system is named by which vertices it
-selects and the right-hand side of each.  There the signature is one int:
-the selected vertices in the low n bits, those asking for odd outside
-degree above them.  Keys are only compared within one node, so the two
+At a node where every vertex of ∂A is a basis vertex (a mask cut), each
+class is one vertex with its own unit row, and a system is named by which
+vertices it selects and the right-hand side of each.  The selected
+vertices, D & ∂A, are fixed by the code that groups the key (see
+`_NodeCut`), so a mask key is one int, E: the vertices asking for odd
+outside degree.  Keys are only compared within one node, so the two
 encodings never meet.
 
 Each cut builds its signature function once, from its own constants: the
@@ -32,9 +33,9 @@ which need odd outside degree) is two masks, D from two constants per
 problem and node and E from the children's E and crossing vectors, so the
 join makes one call per pair of entries, to the cut's signature function.
 Where the parent and both children are mask cuts (a leaf's cut is one), it
-makes none: each child's half of the parent signature is an affine bit map
-of the child's own key, so a pair costs an XOR and a mask test (see
-`_join_masks`).
+makes none: the parent's key is the XOR of the children's keys and a
+constant per pair of code groups, so a pair costs an XOR and a mask test
+(see `_join_masks`).
 
 Two partial solutions with equal keys are interchangeable in every
 completion, so each key retains one extremal witness S and nothing more;
@@ -46,8 +47,8 @@ A subset table (mos, mes, ds, tds) is grouped by the first key part as
 ``{code: {sig: S}}`` at every cut.  The parities P, P_v = |N(v) & S| mod
 2, matter to a join only through the defect's odd part E = D & (P ^ flip),
 and E lies in ∂A once the zero check has passed.  A join reads E off a
-mask child's key, as its high half ``sig >> n``, and has `_odd_part`
-work it out from S at any other child, one parity per vertex of D & ∂A.
+mask child's key, which is E, and has `_odd_part` work it out from S at
+any other child, one parity per vertex of D & ∂A.
 Every entry of a group shares its code, so a join lifts each child code
 to the parent basis once per group, not once per entry, and keys the inner
 dict on the signature alone.  A group is never left empty, so a table is
@@ -170,18 +171,24 @@ class _NodeCut(CutBasis):
     is a class of its own with its own coordinate y_i, and y ranges over
     all of GF(2)^r.  A system that passes the zero check is then
     satisfiable, its completion set is fixed by which vertices it selects
-    and the right-hand side of each, and distinct choices give distinct
-    sets.  So the signature is ``sel | odd << n``: sel holds the selected
-    vertices of ∂A, odd those asking for odd outside degree.  Such a cut
-    sets `masks`, and its `classes` need no coordinates: ∂A's i-th vertex
-    is the i-th basis vertex, with code ``1 << i``.
+    (sel = D & ∂A) and the right-hand side of each (E), and distinct
+    choices give distinct sets.  Such a cut sets `masks`, and its
+    `classes` need no coordinates: ∂A's i-th vertex is the i-th basis
+    vertex, with code ``1 << i``, and the rest of A has code 0.  So S's
+    code is S & ∂A, and sel = ((S & keep) ^ set) & ∂A is a function of
+    it: every entry of one code group has the same sel.  The signature is
+    therefore E alone.  Within a code group it names the completion set,
+    and as sel is one value there, E orders the group's keys as the pair
+    (sel, E) does.
 
     `coset_sig(d, e)` is the signature of {completions fixing (d, e)}, or
-    None if that set is empty.  It is one function per cut, built once
-    from the cut's constants by `_mask_sig_twin_free` (rank = |∂A|) or
-    `_rows_sig` (every other cut), so `_join_table` pays one call per pair
-    of entries and no attribute lookups.  The function holds copies of the
-    constants, not the cut, so a cut is not part of a reference cycle.
+    None if that set is empty: canonical for that set at a rows cut, and
+    canonical within a code group, which fixes d & ∂A, at a mask cut.  It
+    is one function per cut, built once from the cut's constants by
+    `_mask_sig_twin_free` (rank = |∂A|) or `_rows_sig` (every other cut),
+    so `_join_table` pays one call per pair of entries and no attribute
+    lookups.  The function holds copies of the constants, not the cut, so
+    a cut is not part of a reference cycle.
     """
 
     __slots__ = ("classes", "zero_mask", "masks", "coset_sig")
@@ -199,7 +206,7 @@ class _NodeCut(CutBasis):
         self.masks = self.rank == a_boundary.bit_count()
         if self.masks:
             self.classes = {1 << i: 1 << v for i, v in enumerate(self.a_basis_vertices)}
-            self.coset_sig = _mask_sig_twin_free(zero_mask, a_boundary, g.n)
+            self.coset_sig = _mask_sig_twin_free(zero_mask)
         else:
             adj = g.adj
             coordinates = self.a_dec.coordinates
@@ -219,15 +226,13 @@ class _NodeCut(CutBasis):
 # (in `zero_mask`) can never be fixed, and vertices sharing a code must
 # agree on the required parity; either failure gives None.
 
-def _mask_sig_twin_free(zero_mask: int, a_boundary: int, n: int):
-    """Every class is one basis vertex, so sel = d & a_boundary, and
-    odd = e once e has passed the zero check (A is `zero_mask` plus
-    `a_boundary`)."""
+def _mask_sig_twin_free(zero_mask: int):
+    """Every class is one basis vertex: the signature is e once e has
+    passed the zero check.  d is not read, as its ∂A part is fixed by the
+    code (see `_NodeCut`)."""
 
     def coset_sig(d: int, e: int) -> _Sig | None:
-        if e & zero_mask:
-            return None
-        return d & a_boundary | e << n
+        return None if e & zero_mask else e
 
     return coset_sig
 
@@ -313,23 +318,23 @@ def _leaf_side(g: Graph, cut: _NodeCut | None, u: int, kind: str):
     neighbor, ∂A = A, the basis is (u,), S's code is 1 exactly when S =
     {u}, and the zero mask is empty: S = {} is the code-0 group, lifted to
     (0, 0), and S = {u} the code-1 group, lifted to u's own image
-    ``(coordinates(adj[u] & B), adj[u] & sibling)``, each with the signature
-    ``D | E << n``.  When u is isolated, the basis is empty and the zero
-    mask is A: an entry survives exactly when E = 0, with code 0 and
-    signature 0, so one group (0, 0) holds the later survivor (S = {u}
+    ``(coordinates(adj[u] & B), adj[u] & sibling)``, each keyed on its E =
+    D & flip, as P = 0 on A = {u}.  When u is isolated, the basis is empty
+    and the zero mask is A: an entry survives exactly when E = 0, with code
+    0 and signature 0, so one group (0, 0) holds the later survivor (S = {u}
     replaces S = {} where both survive, as for mes).  One of them survives
     for mos, mes and ds; for tds neither does, and `_run` answers such a
     graph before any side is built.  `cut` is read only when u has a
     neighbor, so a one-vertex tree's root table is this side's groups over
     ``cut=None``.
     """
-    bit, row, n = 1 << u, g.adj[u], g.n
+    bit, row = 1 << u, g.adj[u]
     keep, set_, flip = _SUBSET_KINDS[kind](bit)
     d_empty, d_u = set_, (bit & keep) ^ set_  # D of S = {} and of S = {u}
     if row:
         up = cut.a_dec.coordinates(row & cut.b)
-        return bit, True, bit, [(0, 0, {d_empty | (d_empty & flip) << n: 0}),
-                                (up, row & cut.a & ~bit, {d_u | (d_u & flip) << n: bit})]
+        return bit, True, bit, [(0, 0, {d_empty & flip: 0}),
+                                (up, row & cut.a & ~bit, {d_u & flip: bit})]
     return bit, True, 0, [(0, 0, {0: 0 if d_u & flip else bit})]
 
 
@@ -361,7 +366,7 @@ def _join_table(g: Graph, cut: _NodeCut, x, y, kind: str):
     The parities P enter only through E = D & (P ^ flip), so the pair loop
     works on each child entry's (S, D_x, E_x).  D_x = (S & keep) ^ (set & A_x)
     is the parent's D on A_x, since keep and set are -1, 0 or A.  E_x is the
-    child's own E: ``sig >> n`` at a mask child, `_odd_part` of S at every
+    child's own E: its key at a mask child, `_odd_part` of S at every
     other child (a child's flip on A_x is the parent's).  On A_x the
     parent's parities are P_x ^ c_yx, c_yx the y group's crossing vector on
     A_x, so the parent's E there is E_x ^ (D_x & c_yx), and the parent's
@@ -373,15 +378,15 @@ def _join_table(g: Graph, cut: _NodeCut, x, y, kind: str):
     the same loop on the children's signatures instead, with no call.
     """
     maximize = _MAXIMIZING[kind]
+    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
     side_x, side_y = _subset_side(g, cut, x, kind), _subset_side(g, cut, y, kind)
     if cut.masks and side_x[1] and side_y[1]:
-        return _join_masks(g.n, cut, side_x[3], side_y[3], maximize)
-    keep, set_, flip = _SUBSET_KINDS[kind](cut.a)
-    n, adj = g.n, g.adj
+        return _join_masks(cut, side_x, side_y, keep, set_, maximize)
+    adj = g.adj
     sides = []
     for a_c, masks, bd, lifted in (side_x, side_y):
         set_c = set_ & a_c
-        sides.append([(up, cross, [(s, (s & keep) ^ set_c, sig >> n if masks else
+        sides.append([(up, cross, [(s, (s & keep) ^ set_c, sig if masks else
                                     _odd_part(adj, s, keep, set_c, flip, bd))
                                    for sig, s in entries.items()])
                       for up, cross, entries in lifted])
@@ -415,45 +420,40 @@ def _join_table(g: Graph, cut: _NodeCut, x, y, kind: str):
     return table
 
 
-def _join_masks(n: int, cut: _NodeCut, lifted_x: list, lifted_y: list, maximize: bool):
+def _join_masks(cut: _NodeCut, side_x, side_y, keep: int, set_: int, maximize: bool):
     """`_join_table` where the parent and both children are mask cuts: a
     pair costs an XOR and a mask test on the children's keys.
 
-    A child key is ``sel | e << n`` with sel = D & ∂A and e = E there.  The
-    code is a bijection with S & ∂A at a mask cut, and D & ∂A is fixed by
-    S & ∂A (or is ∂A, for tds), so sel is fixed in a code group.  On A_x the
-    parent's D is D_x and its E is E_x ^ (D_x & c), c the y group's
-    crossing vector on A_x.  c lies in ∂A_x, so D_x & c = sel_x & c, and
-    with K = (sel_x & c) << n, ``sig_x ^ K = sel_x | (E & A_x) << n``.  The
-    parent's signature is ``D & ∂A | E << n``, or None when E meets
-    `zero_mask`, and ∂A <= ∂A_x | ∂A_y.  So the x half fails exactly when
-    ``(sig_x ^ K) & zero_mask << n`` is nonzero, is ``(sig_x ^ K) & M`` with
-    M = ∂A | -(1 << n) otherwise, and the signature is the OR of the halves.
-
-    Per y entry one int holds the y half before its zero check, K_x and the
-    bits of sel_x that M drops, so an XOR with an x key gives the signature
-    plus both halves' zero-mask bits, and one mask test checks both.  The
+    A mask child's key is its E, and sel = D & ∂A is one value per code
+    group (see `_NodeCut`), so each group's sel is read once, off any of
+    its witnesses.  On A_x the parent's D is D_x and its E is E_x ^ (D_x &
+    c_yx), c_yx the y group's crossing vector on A_x.  c_yx lies in ∂A_x,
+    so D_x & c_yx = sel_x & c_yx, and likewise on A_y.  The parent's key
+    is its E, the XOR of its two sides, so a pair's key is ``E_x ^ E_y ^
+    (sel_x & c_yx) ^ (sel_y & c_xy)``, or None when that meets
+    `zero_mask`.  The last two terms are fixed per pair of groups and XORed
+    into each y key once, so a pair costs one XOR and one mask test.  The
     keys carry every parity the parent needs, so no `_odd_part` call is
     made and a pair stores ``S_x | S_y``.  Loop order, first-wins and the
     tie-break are `_join_table`'s, so the table is the same entry by entry.
     """
-    low = (1 << n) - 1
-    zero, half = cut.zero_mask << n, cut.a_boundary | ~low
+    zero = cut.zero_mask
+    # (up, cross, sel, entries) per group, sel off the group's first witness
+    sides = [[(up, cross, ((next(iter(entries.values())) & keep) ^ set_) & bd, entries.items())
+              for up, cross, entries in lifted]
+             for _, _, bd, lifted in (side_x, side_y)]
     table: dict[int, dict[_Sig, int]] = {}
-    for up_x, cross_xy, gx in lifted_x:
-        sel_x = next(iter(gx)) & low
-        xs = gx.items()
-        for up_y, cross_yx, gy in lifted_y:
-            ky = (next(iter(gy)) & low & cross_xy) << n
-            fix = (sel_x & cross_yx) << n ^ sel_x & ~half
+    for up_x, cross_xy, sel_x, xs in sides[0]:
+        for up_y, cross_yx, sel_y, ys in sides[1]:
+            fix = sel_x & cross_yx ^ sel_y & cross_xy
             up = up_x ^ up_y
             group = table.get(up)
             if group is None:
                 group = table[up] = {}
-            for hy, sy in gy.items():
-                hy = (hy ^ ky) & half ^ fix
+            for ey, sy in ys:
+                ey ^= fix
                 for sig, sx in xs:
-                    sig ^= hy
+                    sig ^= ey
                     if sig & zero:
                         continue
                     s = sx | sy
@@ -515,20 +515,19 @@ def _qcol_side(g: Graph, cut: _NodeCut, child, q: int):
 
     A leaf u's two states are the two groups of `_leaf_side` under the mos
     defect: state 0 is the empty class, S = {} with E = 0, and state 1 is
-    {u}, with E = ``sig >> n`` = {u}, lifted to u's own image.  Its one
+    {u}, keyed on its E = {u}, lifted to u's own image.  Its one
     key is u's class beside q - 1 empty classes, ``(0, ..., 0, 1)``.  u
     has a neighbor, since `_run` answers a graph with an isolated vertex,
     which no odd class can hold, before any join.
     """
-    n = g.n
     if isinstance(child, int):
         zeros = (0,) * (q - 1)
-        lifted = [(up, cross, [(i, s, sig >> n) for sig, s in group.items()])
+        lifted = [(up, cross, [(i, s, sig) for sig, s in group.items()])
                   for i, (up, cross, group) in enumerate(_leaf_side(g, cut, child, "mos")[3])]
         return lifted, 2, {zeros + (1,): zeros + (1 << child,)}
     c, (states, table) = child
     adj, masks, bd = g.adj, c.masks, c.a_boundary
-    groups = [(code, [(i, s, sig >> n if masks else _odd_part(adj, s, -1, 0, -1, bd))
+    groups = [(code, [(i, s, sig if masks else _odd_part(adj, s, -1, 0, -1, bd))
                       for i, ((_, sig), s) in run])
               for code, run in groupby(enumerate(states), lambda e: e[1][0][0])]
     return _lift(g, cut, c, cut.a & ~c.a, groups), len(states), table

@@ -128,20 +128,24 @@ class Graph(Frozen):
         the whole graph, or of the subgraph induced on the mask `within`."""
         if within is None:
             within = self.full_mask
-        seen = ~within  # vertices outside `within` count as seen
+        adj = self.adj
+        seen = bytearray(self.n)
         out = []
-        for v in range(self.n):
-            if seen >> v & 1:
+        # `within`'s binary digits, low vertex first, give each vertex's
+        # membership in one pass, with no n-bit shift per vertex
+        for v, bit in enumerate(bin(within)[:1:-1]):
+            if bit == "0" or seen[v]:
                 continue
+            seen[v] = 1
             comp = 1 << v
-            frontier = 1 << v
+            frontier = adj[v] & within  # v has no loop, so it is not in its row
             while frontier:
+                comp |= frontier
                 nxt = 0
                 for u in vertices_of(frontier):
-                    nxt |= self.adj[u]
+                    seen[u] = 1
+                    nxt |= adj[u]
                 frontier = nxt & within & ~comp
-                comp |= frontier
-            seen |= comp
             out.append(comp)
         return out
 

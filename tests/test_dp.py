@@ -163,6 +163,48 @@ def test_results_do_not_depend_on_the_tree():
         assert len(chis) == 1
 
 
+# Per graph, per `rankdec.METHODS` tree in order: the odd 3-coloring and the
+# chi-odd coloring the DP reports, one digit per vertex (None: infeasible).
+_QCOL_PINS = (
+    (("001010", "001010"), ("011220", "001010"), ("001010", "001010"), ("010010", "010010")),
+    ((None, None),) * 4,
+    (("00001111", "00001111"), ("00121222", "00001111"), ("00110011", "00110011"),
+     ("00001111", "00001111")),
+    (("00112020", "00112020"), ("00112020", "00112020"), ("00112020", "00112020"),
+     ("01021211", "01021211")),
+    (("0112102221", "0001000001"), ("0001000001", "0001000001"),
+     ("0001000001", "0001000001"), ("0101121211", "0100001101")),
+    (("0100121021", "0010011001"), ("0110210102", "0101010111"),
+     ("0100121021", "0101010111"), ("0010011001", "0010011001")),
+)
+
+
+def test_reported_colorings_are_pinned_on_every_method_tree():
+    """The colorings odd-qcol (q = 3) and chi-odd report are the only outputs
+    that read the order of a node's class states, and they still depend on
+    the tree.  Pin them on the 6-vertex graph with edges 01 02 03 05 12 14
+    24 34, whose trees give different colorings, and on five seeded random
+    graphs with n <= 10, over every `rankdec.METHODS` tree, so that a change
+    to the state order or to the keys shows here."""
+    graphs = [Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 4),
+                                   (2, 4), (3, 4)])]
+    rng = random.Random(31)
+    graphs += [rand_graph(rng, n, rng.uniform(0.3, 0.8)) for n in (6, 8, 8, 10, 10)]
+
+    def digits(colors):
+        return None if colors is None else "".join(map(str, colors))
+
+    got = []
+    for g in graphs:
+        row = []
+        for build in rankdec.METHODS.values():
+            t = build(g)
+            chi = dp.chi_odd(g, t)
+            row.append((digits(dp.solve_odd_qcol(g, t, 3)), chi and digits(chi[1])))
+        got.append(tuple(row))
+    assert tuple(got) == _QCOL_PINS
+
+
 def _narrow_graph(rng: random.Random, n: int, k: int, p: float) -> Graph:
     """Each vertex joins each of the k vertices before it with probability
     p, so the natural order has linear width at most k."""
@@ -690,9 +732,9 @@ def test_join_kernel_matches_the_reference_loop(monkeypatch):
     masked: list = []
     join_masks = dp._join_masks
 
-    def spy(n, cut, *rest):
+    def spy(cut, *rest):
         masked.append(cut)
-        return join_masks(n, cut, *rest)
+        return join_masks(cut, *rest)
 
     monkeypatch.setattr(dp, "_join_masks", spy)
     ran: set[str] = set()
@@ -730,29 +772,24 @@ def test_join_kernel_matches_the_reference_loop(monkeypatch):
 
 
 def test_mask_halves_are_the_parent_signature():
-    """At a mask parent, a mask child's entry with key sig, against a
-    sibling group whose crossing vector is c on the child, has the half
-    ``(sig ^ K) & M`` with K = (sel & c) << n, sel the key's low n bits
-    (one value per code group) and M = ∂A | -(1 << n).  The half fails
-    ``(sig ^ K) & zero_mask << n`` exactly when the parent's E on that
-    child meets `zero_mask`, and where both children are mask cuts the OR
-    of two passing halves is `coset_sig` of the pair's (D, E), which is
-    None exactly when a half fails."""
+    """Every witness of a mask-cut code group has the same D & ∂A, sel, and
+    its key is its E.  At a mask parent, a mask child's entry with key sig,
+    against a sibling group whose crossing vector is c on the child, has
+    the half ``sig ^ (sel & c)``: the parent's E on that child.  The half
+    meets `zero_mask` exactly when that E does, and where both children
+    are mask cuts the OR of two passing halves is `coset_sig` of the
+    pair's (D, E), which is None exactly when a half fails."""
     rng = random.Random(74)
     shape_rng = random.Random(740)
     seen = {"fail": 0, "pass": 0, "pairs": 0}
     for _ in range(10):
         g = rand_graph(rng, rng.randrange(2, 10), rng.uniform(0.2, 0.8))
-        n = g.n
-        low = (1 << n) - 1
         for t in tree_suite(g, rng, shape_rng):
             for kind in ("mos", "mes", "ds", "tds"):
                 collect = _swept(g, t, kind)
                 for node, (cut, _) in collect.items():
                     if node in t.leaf_vertex or not _mask_cut(cut):
                         continue
-                    zero = cut.zero_mask << n
-                    half = cut.a_boundary | -(1 << n)
                     sides = [(collect[c], collect[d]) for c, d in permutations(t.children[node])]
                     halves = {}  # (child, code, sig, sibling code) -> half or None
                     for (cc, tc), (cs, ts) in sides:
@@ -760,17 +797,22 @@ def test_mask_halves_are_the_parent_signature():
                             continue
                         lift = _child_map(g, cut, cs, cc.a)
                         for code, group in tc.items():
-                            assert len({sig & low for sig in group}) == 1
+                            sels = {_defect(kind, cc.a, s, 0)[0] & cc.a_boundary
+                                    for s in group.values()}
+                            assert len(sels) == 1
+                            sel = sels.pop()
                             for sig, s in group.items():
                                 p = _parities(g, cc.a, s)
+                                assert sig == _defect(kind, cc.a, s, p)[1]
                                 for code_s in ts:
                                     cross = lift(code_s)[1]
-                                    k = (sig & low & cross) << n
                                     _, e = _defect(kind, cut.a, s, p ^ cross)
                                     fails = bool(e & cc.a & cut.zero_mask)
-                                    assert bool((sig ^ k) & zero) == fails
+                                    h = sig ^ (sel & cross)
+                                    assert h == e & cc.a
+                                    assert bool(h & cut.zero_mask) == fails
                                     seen["fail" if fails else "pass"] += 1
-                                    halves[cc.a, code, sig, code_s] = None if fails else (sig ^ k) & half
+                                    halves[cc.a, code, sig, code_s] = None if fails else h
                     (cx, tx), (cy, ty) = sides[0]
                     if not (_mask_cut(cx) and _mask_cut(cy)):
                         continue
@@ -883,7 +925,9 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
     that fix (d, e): None exactly when no code does, and equal signatures
     exactly when the sets, brute-forced over all 2^rb codes, are equal.
     A node whose ∂A vertices are all basis vertices uses the mask function,
-    every other node the rows function.  Elimination runs only when a
+    whose signature e is canonical within a code group, so there the check
+    is on (d & ∂A, sig), the part of the table's (code, sig) that names the
+    set; every other node uses the rows function.  Elimination runs only when a
     pattern outside the earliest pattern basis is selected; the mask
     function and the rows function with and without elimination all run."""
     eliminations: list[int] = []
@@ -946,8 +990,11 @@ def test_coset_sig_is_canonical_over_completion_sets(monkeypatch):
                         assert sig is None
                         continue
                     assert sig is not None
-                    assert sig_of.setdefault(fixes, sig) == sig
-                    assert set_of.setdefault(sig, fixes) == fixes
+                    # a mask-cut table keys an entry on (code, sig), and the
+                    # code fixes d & ∂A
+                    key = (d & cut.a_boundary, sig) if masks else sig
+                    assert sig_of.setdefault(fixes, key) == key
+                    assert set_of.setdefault(key, fixes) == fixes
             monkeypatch.undo()
     assert all(branches.values()), branches
 
@@ -972,7 +1019,9 @@ def test_mask_signatures_are_canonical_on_twin_classes():
     forced false twins, equal signatures mean equal brute-forced completion
     sets and back, and None means no completion, including a twin class
     asked for both parities.  The signature is the mask int exactly where
-    every ∂A vertex is a basis vertex, and a tuple of rows otherwise."""
+    every ∂A vertex is a basis vertex, and a tuple of rows otherwise; at
+    such a mask cut the check is on (d & ∂A, sig), as in
+    `test_coset_sig_is_canonical_over_completion_sets`."""
     rng = random.Random(65)
     shape_rng = random.Random(650)
     seen = {"twin": 0, "mixed": 0}
@@ -1015,8 +1064,11 @@ def test_mask_signatures_are_canonical_on_twin_classes():
                         continue
                     assert isinstance(sig, int if masks else tuple)
                     seen["twin"] += bool(selected)
-                    assert sig_of.setdefault(fixes, sig) == sig
-                    assert set_of.setdefault(sig, fixes) == fixes
+                    # a mask-cut table keys an entry on (code, sig), and the
+                    # code fixes d & ∂A
+                    key = (d & cut.a_boundary, sig) if masks else sig
+                    assert sig_of.setdefault(fixes, key) == key
+                    assert set_of.setdefault(key, fixes) == fixes
     assert seen["twin"] and seen["mixed"], seen
 
 
@@ -1100,8 +1152,8 @@ def test_codes_classify_a_like_the_outside_patterns(monkeypatch):
 
 def test_table_entries_are_internally_consistent():
     """Every entry's code and signature are those of its S, with (D, E)
-    recomputed from scratch, and at a mask cut the key's high half
-    ``sig >> n`` is exactly that E = D & (P ^ flip).  Every value is the
+    recomputed from scratch, and at a mask cut the key is exactly that
+    E = D & (P ^ flip).  Every value is the
     int S, at mask and rows cuts alike, and both kinds of cut occur."""
     rng = random.Random(57)
     seen = {"mask": 0, "rows": 0}
@@ -1118,7 +1170,7 @@ def test_table_entries_are_internally_consistent():
                     assert code == cut.a_code(s)
                     d, e = _defect(kind, cut.a, s, _parities(g, cut.a, s))
                     if masks:
-                        assert sig >> g.n == e
+                        assert sig == e
                     assert sig == cut.coset_sig(d, e)
                     seen["mask" if masks else "rows"] += 1
     assert all(seen.values()), seen
